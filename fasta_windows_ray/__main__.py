@@ -27,8 +27,8 @@ Two surfaces:
 10. ``validate`` — data-contract expectations over a parquet table
     (exit 1 on any failed rule, CI-gateable).
 
-Owns its Ray session (guarded init) — the only module besides bench.py
-and tests allowed to.
+Owns its Ray session (guarded init) — the only package module allowed
+to; otherwise only tests, scripts and perfbench do.
 """
 
 from __future__ import annotations

@@ -767,7 +767,6 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
                  offset_us: int = 0, profile: str = "full",
                  num_buckets: int = 64, ctw_depth: int = 6,
                  bigram: str = '"k', ctw_text: bool = False,
-                 coalesce_blocks: int | None = None,
                  slab_windows: int | None = 4096,
                  kgram_freqs: bool = False):
     """End-to-end windowed stats over a transcript Dataset.
@@ -784,16 +783,7 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
     instead of (total rows / num_buckets) — the 100-TB requirement: a
     year of data at fixed num_buckets no longer concentrates into
     num_buckets giant groups. None disables (plain bucket grouping).
-
-    ``coalesce_blocks``: Ray's sort-based groupby moves maps × reduces
-    shuffle objects, so inputs fragmented into thousands of small blocks
-    make the exchange quadratic (BASELINE.md "block-count lesson").
-    Pass a target (e.g. 256) to coalesce fragmented upstreams before the
-    shuffle; leave None when the reader already produces few large
-    blocks.
     """
-    if coalesce_blocks is not None:
-        ds = ds.repartition(coalesce_blocks)
     slab_l = None
     if slab_windows:
         ds, slab_l = add_bucket_slab(ds, num_buckets, size_us, step_us,

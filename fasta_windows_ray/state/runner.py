@@ -55,18 +55,12 @@ def latest_revision(df: pd.DataFrame,
 
 
 def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
-                        slab_windows: int | None = 4096,
-                        diag: bool = False):
+                        slab_windows: int | None = 4096):
     """Dataset path: (bucket × time-slab) shuffle → per-group stream
     replay. The slab component bounds per-task group size for tumbling/
     sliding (see add_bucket_slab); session windows have no fixed span, so
     they group by bucket only (the hot-key scale path for sessions is the
-    salted interval stitch in stages/salted.py).
-
-    ``diag=True`` appends per-group instrumentation columns
-    (``_diag_rows`` = group input rows, ``_diag_maxrss_kb`` = the worker
-    process's peak RSS so far) — the stress-artifact surface
-    (scripts/stress_stateful.py)."""
+    salted interval stitch in stages/salted.py)."""
     slabbed = cfg.kind in ("tumbling", "sliding") and bool(slab_windows)
     if slabbed:
         ds, slab_l = add_bucket_slab(
@@ -94,12 +88,6 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
             ws = out["window_start"].astype("datetime64[us]") \
                 .astype("int64").to_numpy()
             out = out[(ws - cfg.offset_us) // slab_l == slab]
-        if diag:
-            import resource
-            out = out.copy()
-            out["_diag_rows"] = len(df)
-            out["_diag_maxrss_kb"] = \
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return out
 
     return ds.groupby(group_key).map_groups(replay_bucket,
