@@ -26,58 +26,77 @@ from .. import kernels as K
 from ..sources.fasta import read_fasta
 
 
-def _window_bounds(n: int, w: int) -> list[tuple[int, int]]:
-    if n == 0:
-        return []
-    return [(s, min(s + w, n)) for s in range(0, n, w)]
+_ORDER = ["range_start", "range_index"]     # file order of the records
 
 
-def _record_entries(rid: str, desc: str, seq: str, window_size: int,
-                    masked: bool, ctw: bool) -> list[dict]:
-    out = []
-    desc = desc if desc else "No description."
-    for start, end in _window_bounds(len(seq), window_size):
-        win = seq[start:end]
-        st = K.seq_stats_dna(win, masked=masked)
-        kd = K.kgram_diversity_dna(win)
-        row = {
-            "id": rid, "desc": desc, "start": start, "end": end,
-            "nuc_counts": st["nuc_counts"],
+def _windows(df: pd.DataFrame, window_size: int):
+    """The records of a batch back to back as one uint8 buffer, cut into
+    windows: (buf, offsets, record of each window, start, end).
+
+    Windows tile each record from 0 with the last one clamped to the
+    record end (fw.rs:73-79, 130-144); positions are byte offsets, as in
+    the reference, which reads records as bytes.
+    """
+    seqs = [s.encode() for s in df["seq"]]
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    n_win = -(-lens // window_size)
+    rec = np.repeat(np.arange(len(seqs)), n_win)
+    first = np.cumsum(n_win) - n_win
+    start = (np.arange(len(rec)) - first[rec]) * window_size
+    end = np.minimum(start + window_size, lens[rec])
+    buf = np.frombuffer(b"".join(seqs), dtype=np.uint8)
+    offsets = np.append(np.cumsum(lens)[rec] - lens[rec] + start, len(buf))
+    return buf, offsets, rec, start, end
+
+
+def _order(df: pd.DataFrame, rec: np.ndarray) -> dict:
+    return {c: df[c].to_numpy()[rec] for c in _ORDER}
+
+
+def fasta_windows(fasta_path: str, window_size: int = 1000,
+                  masked: bool = False, ctw: bool = True) -> pd.DataFrame:
+    """Main-mode pipeline: one row per (record, window), ordered by
+    (id, start) — fw.rs:149-152's stable sort by id, windows in order.
+
+    Each block's windows go through the batch kernels
+    (``K.seq_stats_batch``, ``K.kgram_diversity_batch``,
+    ``K.ctw_batch``) in one call each.
+    """
+    ds = read_fasta(fasta_path)
+
+    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
+        buf, offsets, rec, start, end = _windows(df, window_size)
+        st = K.seq_stats_batch(buf, offsets, masked=masked)
+        kd = K.kgram_diversity_batch(buf, offsets)
+        desc = np.asarray([d if d else "No description." for d in df["desc"]],
+                          dtype=object)
+        return pd.DataFrame({
+            "id": df["id"].to_numpy()[rec], "desc": desc[rec],
+            "start": start, "end": end,
+            "nuc_counts": st["nuc_counts"].tolist(),
             "gc_proportion": st["gc_proportion"], "gc_skew": st["gc_skew"],
             "at_skew": st["at_skew"], "shannon_entropy": st["shannon_entropy"],
-            "ctw_bpb": K.ctw_bits_per_base(win, 6) if ctw else 0.0,
+            "ctw_bpb": (K.ctw_batch(K.DNA_CODES[buf], offsets, 6) if ctw
+                        else np.zeros(len(rec))),
             "g_s": st["g_s"], "c_s": st["c_s"], "a_s": st["a_s"],
             "t_s": st["t_s"], "n_s": st["n_s"], "masked": st["masked"],
             # CpG: di_freq index 6 is "CG"; denominator window length (fw.rs:120)
-            "cpg_s": float(np.float32(kd["di_freq"][6]) / np.float32(st["len"])),
+            "cpg_s": K.ratio_f32(kd["di_freq"][:, 6], st["len"]),
             "dinucleotides": kd["di_diversity"],
             "trinucleotides": kd["tri_diversity"],
             "tetranucleotides": kd["tetra_diversity"],
             "divalues": kd["di_freq"].tolist(),
             "trivalues": kd["tri_freq"].tolist(),
             "tetravalues": kd["tetra_freq"].tolist(),
-        }
-        out.append(row)
-    return out
-
-
-def fasta_windows(fasta_path: str, window_size: int = 1000,
-                  masked: bool = False, ctw: bool = True) -> pd.DataFrame:
-    """Main-mode pipeline: one row per (record, window), ordered by
-    (id, start) — fw.rs:149-152's stable sort by id, windows in order."""
-    ds = read_fasta(fasta_path)
-
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for r in df.itertuples():
-            rows.extend(_record_entries(r.id, r.desc, r.seq, window_size,
-                                        masked, ctw))
-        return pd.DataFrame(rows) if rows else pd.DataFrame()
+            **_order(df, rec),
+        })
 
     pdf = ds.map_batches(per_batch, batch_format="pandas").to_pandas()
     if len(pdf) == 0 or "id" not in pdf.columns:
         return pd.DataFrame(columns=["id", "desc", "start", "end"])
-    return pdf.sort_values(["id", "start"], kind="stable").reset_index(drop=True)
+    # records of one id keep file order, as the reference's stable sort
+    return pdf.sort_values(["id", *_ORDER, "start"], kind="stable") \
+        .drop(columns=_ORDER).reset_index(drop=True)
 
 
 def _f32_3(x: float) -> str:
@@ -144,17 +163,21 @@ def entropy_windows(fasta_path: str, window_size: int,
     ds = read_fasta(fasta_path, truncate_id=True)
 
     def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for r in df.itertuples():
-            for start, end in _window_bounds(len(r.seq), window_size):
-                win = r.seq[start:end]
-                rows.append((r.id, start, end,
-                             K.entropy_fast(win, masked),
-                             K.ctw_bits_per_base(win, 6)))
-        return pd.DataFrame(rows, columns=["id", "start", "end",
-                                           "entropy", "ctw"])
+        buf, offsets, rec, start, end = _windows(df, window_size)
+        return pd.DataFrame({
+            "id": df["id"].to_numpy()[rec], "start": start, "end": end,
+            "entropy": K.entropy_fast_batch(buf, offsets, masked=masked),
+            "ctw": K.ctw_batch(K.DNA_CODES[buf], offsets, 6),
+            **_order(df, rec),
+        })
 
-    return ds.map_batches(per_batch, batch_format="pandas").to_pandas()
+    pdf = ds.map_batches(per_batch, batch_format="pandas").to_pandas()
+    cols = ["id", "start", "end", "entropy", "ctw"]
+    if len(pdf) == 0 or "id" not in pdf.columns:
+        return pd.DataFrame(columns=cols)
+    # blocks arrive in any order; the BED is in input order
+    return pdf.sort_values([*_ORDER, "start"], kind="stable")[cols] \
+        .reset_index(drop=True)
 
 
 def write_bed(entries: pd.DataFrame, out_dir: str, output: str) -> str:

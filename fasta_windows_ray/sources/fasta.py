@@ -13,6 +13,10 @@ RECORD_SCHEMA = pa.schema([
     ("id", pa.string()),
     ("desc", pa.string()),      # "" when absent
     ("seq", pa.string()),
+    # file order: Ray Data does not keep block order, so callers that
+    # need input order sort on (range_start, range_index)
+    ("range_start", pa.int64()),    # byte range that owns the record
+    ("range_index", pa.int64()),    # record index within that range
 ])
 
 
@@ -57,11 +61,14 @@ def parse_fasta(text: str, truncate_id: bool = False) -> list[tuple[str, str, st
 _CHUNK = 1 << 20
 
 
-def _records_table(recs) -> pa.Table:
+def _records_table(recs, range_start: int = 0,
+                   first_index: int = 0) -> pa.Table:
     return pa.table({
         "id": [r[0] for r in recs],
         "desc": [r[1] for r in recs],
         "seq": [r[2] for r in recs],
+        "range_start": [range_start] * len(recs),
+        "range_index": range(first_index, first_index + len(recs)),
     }, schema=RECORD_SCHEMA)
 
 
@@ -121,12 +128,14 @@ def _range_records(path: str, start: int, end: int,
 
 def read_fasta(path: str, truncate_id: bool = False,
                target_bytes: int = 64 << 20):
-    """Ray Dataset of FASTA records (id, desc, seq), read as parallel
-    BYTE-RANGE tasks — the file is never loaded on the driver, so a
-    multi-GB genome streams through the object store one ~target_bytes
-    block at a time (round-1 "streaming FASTA source" fix). Requires the
-    path to be readable from every node (shared FS / object store mount —
-    the standard cluster layout).
+    """Ray Dataset of FASTA records (id, desc, seq, range_start,
+    range_index), read as parallel BYTE-RANGE tasks — the file is never
+    loaded on the driver, so a multi-GB genome streams through the object
+    store one ~target_bytes block at a time (round-1 "streaming FASTA
+    source" fix). Blocks may arrive in any order; sorting on
+    (range_start, range_index) restores file order. Requires the path to
+    be readable from every node (shared FS / object store mount — the
+    standard cluster layout).
     """
     import os
 
@@ -139,13 +148,15 @@ def read_fasta(path: str, truncate_id: bool = False,
         def parse_gz(_batch):
             import gzip
             buf: list[tuple[str, str, str]] = []
+            done = 0
             with gzip.open(path, "rt") as f:
                 for rec in iter_fasta_records(f, truncate_id):
                     buf.append(rec)
                     if len(buf) >= 512:
-                        yield _records_table(buf)
+                        yield _records_table(buf, 0, done)
+                        done += len(buf)
                         buf = []
-            yield _records_table(buf)
+            yield _records_table(buf, 0, done)
 
         return rd.range(1, override_num_blocks=1).map_batches(
             parse_gz, batch_format="pandas")
@@ -155,11 +166,10 @@ def read_fasta(path: str, truncate_id: bool = False,
               for s in range(0, max(size, 1), target_bytes)]
 
     def parse_ranges(df) -> pa.Table:
-        recs: list[tuple[str, str, str]] = []
-        for r in df.itertuples():
-            recs.extend(_range_records(path, int(r.start), int(r.end),
-                                       truncate_id))
-        return _records_table(recs)
+        return pa.concat_tables([
+            _records_table(_range_records(path, int(r.start), int(r.end),
+                                          truncate_id), int(r.start))
+            for r in df.itertuples()])
 
     # one range per block so each parse task owns exactly one byte range
     return rd.from_items(ranges, override_num_blocks=len(ranges)) \

@@ -28,6 +28,8 @@ bounding what crosses the shuffle):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -104,21 +106,16 @@ def grouped_topk(ds, group_col: str, key_col: str, k: int,
 def quantiles_from_hist(values: np.ndarray, counts: np.ndarray,
                         qs: list[float]) -> list[tuple[float, float]]:
     """Inverted-CDF quantiles from a sorted (value, count) histogram:
-    the smallest value whose cumulative count reaches ``ceil(q*n)``
-    (q=0 → minimum) — DuckDB ``quantile_disc`` semantics, verified
-    empirically. Pure function (property-tested against sorted-array
-    indexing)."""
+    DuckDB ``quantile_disc`` semantics for a DOUBLE q. DuckDB's 0-based
+    index is ``max(1, n - floor(n - q*n)) - 1`` (q=0 → minimum); the
+    subtraction from n absorbs the IEEE error of q*n (0.07*100 ==
+    7.000000000000001 gives rank 7, not 8). Pure function
+    (property-tested against sorted-array indexing and DuckDB)."""
     cum = np.cumsum(counts)
     n = int(cum[-1]) if len(cum) else 0
     out = []
     for q in qs:
-        # round-tolerant ceil: 0.07*100 == 7.000000000000001 in
-        # IEEE-754, and a raw ceil would return rank 8 instead of 7.
-        # RELATIVE epsilon: the FP error of q*n scales with n
-        # (~n*2^-52 ≈ 2e-7 at n=1e9), so an absolute 1e-9 stops
-        # covering exactly-integral ranks at the row counts this
-        # engine targets.
-        target = 1 if q <= 0 else int(np.ceil(q * n * (1.0 - 1e-12)))
+        target = max(1, n - math.floor(n - q * n))
         idx = int(np.searchsorted(cum, target, side="left"))
         out.append((float(q), values[min(idx, len(values) - 1)]))
     return out
@@ -127,9 +124,9 @@ def quantiles_from_hist(values: np.ndarray, counts: np.ndarray,
 def exact_quantiles(ds, col: str, qs: list[float]):
     """Exact quantiles of a bounded-cardinality column, distributed.
 
-    Semantics match DuckDB's ``quantile_disc`` (inverted CDF: the
-    smallest value whose cumulative count reaches ``ceil(q*n)``,
-    verified empirically for q in (0,1]; q=0 is the minimum).
+    Semantics match DuckDB's ``quantile_disc`` (inverted CDF with
+    DuckDB's rank rule, see :func:`quantiles_from_hist`; q=0 is the
+    minimum).
 
     Per-batch ``np.unique`` histograms → ``groupby(value).sum`` → the
     merged (value, count) table is collected (it is the bounded-size

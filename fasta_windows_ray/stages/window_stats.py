@@ -24,6 +24,7 @@ post-merge from ordered turns).
 
 from __future__ import annotations
 
+import itertools
 
 import numpy as np
 import pandas as pd
@@ -219,6 +220,26 @@ def _ctw_memo(key) -> dict:
     if memo is None:
         memo = _CTW_MEMOS[key] = {}
     return memo
+
+
+def _ctw_memoized(memo_key, cap: int, keys: list, depth: int) -> np.ndarray:
+    """CTW bits/symbol of each symbol string in ``keys`` (bytes of 0..3,
+    255 = flush), from the process-global memo; all misses are computed
+    in one ``ctw_batch`` call and stored until the memo holds ``cap``."""
+    from .. import kernels as K
+
+    cache = _ctw_memo(memo_key)
+    miss = list(dict.fromkeys(k for k in keys if k not in cache))
+    fresh: dict = {}
+    if miss:
+        offsets = np.cumsum([0] + [len(k) for k in miss])
+        fresh = dict(zip(miss, K.ctw_batch(
+            np.frombuffer(b"".join(miss), dtype=np.uint8), offsets,
+            depth).tolist()))
+        cache.update(itertools.islice(fresh.items(),
+                                      max(cap - len(cache), 0)))
+    return np.asarray([cache[k] if k in cache else fresh[k] for k in keys],
+                      dtype=np.float64)
 
 
 class BucketWindowStats:
@@ -640,20 +661,10 @@ class BucketWindowStats:
             stop = np.searchsorted(codes_s, np.arange(G), side="right")
         if need_ctw:
             sym_arr = np.where(role5_e < 4, role5_e, 255)[order].astype(np.uint8)
-            ctw = np.zeros(G, dtype=np.float64)
-            cache = _ctw_memo(("roles", self.ctw_depth))
-            idmap = {i: i for i in range(4)}
-            for gi in range(G):
-                key = sym_arr[start[gi]:stop[gi]].tobytes()
-                v = cache.get(key)
-                if v is None:
-                    syms = [s if s != 255 else None for s in key]
-                    v = K.ctw_bits_per_base(syms, max_depth=self.ctw_depth,
-                                            symbol_map=idmap, m=4)
-                    if len(cache) < 2_000_000:
-                        cache[key] = v
-                ctw[gi] = v
-            out["ctw_roles_bpb"] = ctw
+            out["ctw_roles_bpb"] = _ctw_memoized(
+                ("roles", self.ctw_depth), 2_000_000,
+                [sym_arr[start[gi]:stop[gi]].tobytes() for gi in range(G)],
+                self.ctw_depth)
         else:
             out["ctw_roles_bpb"] = np.zeros(G, dtype=np.float64)
 
@@ -661,21 +672,12 @@ class BucketWindowStats:
         # per-character dominant cost, fw.rs:92 over the window sequence)
         if self.ctw_text:
             raw_s = rows[order]
-            tctw = np.zeros(G, dtype=np.float64)
-            tcache = _ctw_memo(("text", self.ctw_depth))
-            idmap = {i: i for i in range(4)}
-            for gi in range(G):
-                wtext = "".join(texts_raw[q] for q in raw_s[start[gi]:stop[gi]])
-                skey = K.text_class_symbols(wtext)
-                v = tcache.get(skey)
-                if v is None:
-                    v = K.ctw_bits_per_base(list(skey),
-                                            max_depth=self.ctw_depth,
-                                            symbol_map=idmap, m=4)
-                    if len(tcache) < 1_000_000:
-                        tcache[skey] = v
-                tctw[gi] = v
-            out["ctw_text_bpb"] = tctw
+            out["ctw_text_bpb"] = _ctw_memoized(
+                ("text", self.ctw_depth), 1_000_000,
+                [K.text_class_symbols(
+                    "".join(texts_raw[q] for q in raw_s[start[gi]:stop[gi]]))
+                 for gi in range(G)],
+                self.ctw_depth)
         else:
             out["ctw_text_bpb"] = np.zeros(G, dtype=np.float64)
 

@@ -126,15 +126,45 @@ def test_window_acc_split_merge_equals_single_pass(rows, cuts):
 @settings(max_examples=100, deadline=None)
 def test_quantiles_from_hist_equals_sorted_indexing(vals, qs):
     """Histogram-walk quantiles == inverted-CDF indexing of the fully
-    sorted array, for any multiset and any q in [0, 1]."""
+    sorted array, for any multiset and any q in [0, 1]. The reference
+    index is DuckDB quantile_disc's for a DOUBLE q (a raw ceil(q*n)
+    is not: see the DuckDB cross-check below)."""
     from fasta_windows_ray.stages.analytics import quantiles_from_hist
     arr = np.asarray(vals, dtype=np.int64)
     uniq, cnt = np.unique(arr, return_counts=True)
     srt = np.sort(arr)
     n = len(arr)
     for q, v in quantiles_from_hist(uniq, cnt, qs):
-        idx = 0 if q <= 0 else int(np.ceil(q * n)) - 1
+        idx = max(1, n - int(np.floor(n - q * n))) - 1
         assert v == srt[idx]
+
+
+def test_quantiles_from_hist_matches_duckdb_quantile_disc():
+    """quantiles_from_hist == DuckDB quantile_disc(v, q::DOUBLE) on
+    seeded multisets, with q at and a few ulps either side of k/n,
+    where ceil(q*n) and DuckDB disagree."""
+    import duckdb
+
+    from fasta_windows_ray.stages.analytics import quantiles_from_hist
+    rng = np.random.default_rng(11)
+    cases = [([0, 1, 1, 1], 0.25000000000000006), (list(range(100)), 0.07),
+             ([5], 0.0), ([2, 9], 1.0)]
+    for _ in range(150):
+        n = int(rng.integers(1, 120))
+        vals = rng.integers(-20, 20, n).tolist()
+        k = int(rng.integers(0, n + 1))
+        q = k / n + float(rng.choice([-1, 0, 1])) * float(
+            rng.choice([1e-16, 1e-15, 1e-14, 1e-13]))
+        cases.append((vals, min(max(q, 0.0), 1.0)))
+    con = duckdb.connect()
+    for vals, q in cases:
+        want = con.execute(
+            "SELECT quantile_disc(v, $1::DOUBLE) "
+            "FROM (SELECT unnest($2::BIGINT[]) AS v)", [q, vals]).fetchone()[0]
+        uniq, cnt = np.unique(np.asarray(vals, dtype=np.int64),
+                              return_counts=True)
+        (_, got), = quantiles_from_hist(uniq, cnt, [q])
+        assert got == want, (vals, q)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3),      # key
