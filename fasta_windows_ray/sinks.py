@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -186,36 +187,57 @@ def write_partitioned(ds, root: str, partition_col: str = "bucket",
     Layout: ``{root}/part={p}/data.parquet`` + ``.done`` marker written
     AFTER the parquet rename — a rerun recomputes only partitions without
     a marker. EAGER (a sink must sink): executes the writes and returns
-    the small (partition, n_rows, skipped) report as pandas. The writes
-    happen inside the per-partition tasks (distributed), never on the
-    driver.
+    the small (partition, n_rows, skipped) report as pandas, one row per
+    partition. ``sort(partition_col)`` puts every partition whole into one
+    block, and ``map_batches(batch_size=None)`` commits each partition of
+    a block from an Arrow slice (``write_partition_block``): the writes
+    happen inside the distributed tasks, not in the calling process.
     """
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     os.makedirs(root, exist_ok=True)
 
-    def write_partition(df: pd.DataFrame) -> pd.DataFrame:
-        p = int(df[partition_col].iloc[0]) if len(df) else -1
-        pdir = os.path.join(root, f"part={p}")
-        done = os.path.join(pdir, ".done")
-        if os.path.exists(done):
-            return pd.DataFrame([{"partition": p, "n_rows": 0,
-                                  "skipped": True}])
-        os.makedirs(pdir, exist_ok=True)
-        out = df if keep_partition_col else df.drop(columns=[partition_col])
-        tmp = os.path.join(pdir, "data.parquet.tmp")
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False), tmp)
-        os.replace(tmp, os.path.join(pdir, "data.parquet"))
-        with open(done + ".tmp", "w") as f:
-            f.write(str(len(out)))
-        os.replace(done + ".tmp", done)
-        return pd.DataFrame([{"partition": p, "n_rows": len(out),
-                              "skipped": False}])
+    def write_partitions(block: pa.Table) -> pa.Table:
+        return write_partition_block(block, root, partition_col,
+                                     keep_partition_col)
 
-    return ds.groupby(partition_col).map_groups(
-        write_partition, batch_format="pandas").to_pandas()
+    return ds.sort(partition_col).map_batches(
+        write_partitions, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True).to_pandas()
+
+
+def write_partition_block(block: pa.Table, root: str, partition_col: str,
+                          keep_partition_col: bool = False) -> pa.Table:
+    """Commit every partition of a block whose rows are grouped by
+    ``partition_col``; returns the (partition, n_rows, skipped) report."""
+    report = []
+    if block.num_rows:
+        keys = block[partition_col].to_numpy()
+        ends = np.r_[np.flatnonzero(keys[1:] != keys[:-1]) + 1, len(keys)]
+        for a, b in zip(np.r_[0, ends[:-1]].tolist(), ends.tolist()):
+            rows = block.slice(a, b - a)
+            if not keep_partition_col:
+                rows = rows.drop_columns([partition_col])
+            report.append(_commit_partition(root, int(keys[a]), rows))
+    part, n_rows, skipped = zip(*report) if report else ((), (), ())
+    return pa.table({"partition": pa.array(part, pa.int64()),
+                     "n_rows": pa.array(n_rows, pa.int64()),
+                     "skipped": pa.array(skipped, pa.bool_())})
+
+
+def _commit_partition(root: str, p: int, rows: pa.Table) -> tuple:
+    """Write ``part={p}/data.parquet`` then its ``.done`` marker, each by
+    rename; a partition that already has the marker is skipped."""
+    pdir = os.path.join(root, f"part={p}")
+    done = os.path.join(pdir, ".done")
+    if os.path.exists(done):
+        return p, 0, True
+    os.makedirs(pdir, exist_ok=True)
+    tmp = os.path.join(pdir, "data.parquet.tmp")
+    pq.write_table(rows.replace_schema_metadata(None), tmp)
+    os.replace(tmp, os.path.join(pdir, "data.parquet"))
+    with open(done + ".tmp", "w") as f:
+        f.write(str(rows.num_rows))
+    os.replace(done + ".tmp", done)
+    return p, rows.num_rows, False
 
 
 def read_partitioned(root: str):

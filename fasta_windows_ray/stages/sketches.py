@@ -38,8 +38,12 @@ import pyarrow as pa
 def _hash_u64(series: pd.Series) -> np.ndarray:
     """Deterministic vectorized 64-bit hash of any pandas column
     (pandas' SipHash-based hasher; stable across processes for the
-    default hash key) — the one hash every HLL partial must share."""
-    return pd.util.hash_pandas_object(series, index=False).to_numpy()
+    default hash key) — the one hash every HLL partial must share.
+    Values are hashed one by one: pandas' default categorize step merges
+    '' and '\x00' into whichever comes first in the batch, so a value's
+    hash would depend on its batch."""
+    return pd.util.hash_pandas_object(series, index=False,
+                                      categorize=False).to_numpy()
 
 
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:

@@ -3,23 +3,26 @@
 Ray-Data-first shape (deliberately NOT the reference's rayon/mpsc design,
 fw.rs:42-166):
 
-    read_parquet → map_batches(project + window-assign)   [stateless, Arrow]
-      → hash-bucket on conv_id → groupby("bucket")        [the ONE shuffle]
-      → map_groups(bucket-vectorized stats)               [numpy kernels]
+    read_parquet → map_batches(project + bucket × slab key)  [stateless]
+      → sort(key)                                   [the ONE shuffle]
+      → map_batches(batch_size=None): runs of whole groups
+        → BucketWindowStats                          [numpy kernels]
 
-Window assignment for tumbling/sliding is a pure per-row function, so it
-runs vectorized inside ``map_batches``; the only all-to-all exchange is the
-single hash-partition on ``conv_id`` (via a derived ``bucket`` column, so
-the shuffle has ``num_buckets`` keys instead of one key per window — the
-pre-aggregation advice of SURVEY.md §2.7 / §7.5). Within a bucket all
-windows of all its conversations are computed with vectorized numpy
-(np.add.at segment aggregation), not a per-row Python loop; only CTW
-(order-dependent, kmeru8.rs:170-319) loops per window.
+The only all-to-all exchange is the sort on a derived (conv_id hash
+bucket × time slab) key, so the shuffle has ``num_buckets`` × slabs keys
+instead of one key per window — the pre-aggregation advice of SURVEY.md
+§2.7 / §7.5. This is the shuffle ``groupby().map_groups`` runs inside,
+without its per-group task call: each sorted block holds whole groups,
+and one ``BucketWindowStats`` call takes as many consecutive groups as
+fit a character budget. Window assignment (including the sliding
+fan-out) and all stats run there, vectorized over every window of the
+call; the text histograms of k = 1..4 come from one sort, and only CTW
+(order-dependent, kmeru8.rs:170-319) works per window, memoized.
 
-Skew note (100 TB design): a bucket is bounded by ``num_buckets``; hot
-conversations are handled by the salted pre-aggregation path in
-``stages/salted.py`` (histogram stats are mergeable; CTW is computed
-post-merge from ordered turns).
+Skew note (100 TB design): a group is bounded by ``num_buckets`` and the
+slab length; hot conversations are handled by the salted pre-aggregation
+path in ``stages/salted.py`` (histogram stats are mergeable; CTW is
+computed post-merge from ordered turns).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import itertools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..windows import sliding_starts_expand, tumbling_start
 
@@ -45,25 +49,20 @@ STATS_COLUMNS = [
 
 ROLE_ORDER = ["user", "assistant", "system", "tool", "other"]
 
-_STATS_DTYPES = {
-    "conv_id": object, "window_start": "datetime64[us]",
-    "window_end": "datetime64[us]", "last_ts": "datetime64[us]",
-    "n_turns": np.int64, "n_user": np.int64, "n_assistant": np.int64,
-    "n_system": np.int64, "n_tool": np.int64, "n_other": np.int64,
-    "sys_asst_share": np.float64, "sys_asst_skew": np.float64,
-    "user_tool_skew": np.float64, "masked_share": np.float64,
-    "role_entropy": np.float64, "n_chars": np.int64,
-    "char_entropy": np.float64, "bigram_diversity": np.float64,
-    "trigram_diversity": np.float64, "quadgram_diversity": np.float64,
-    "bigram_rate": np.float64, "ctw_roles_bpb": np.float64,
-    "ctw_text_bpb": np.float64,
+_TS = pa.timestamp("us")
+_STATS_TYPES = {
+    "conv_id": pa.string(), "window_start": _TS, "window_end": _TS,
+    "last_ts": _TS, "n_turns": pa.int64(), "n_user": pa.int64(),
+    "n_assistant": pa.int64(), "n_system": pa.int64(),
+    "n_tool": pa.int64(), "n_other": pa.int64(),
+    "sys_asst_share": pa.float64(), "sys_asst_skew": pa.float64(),
+    "user_tool_skew": pa.float64(), "masked_share": pa.float64(),
+    "role_entropy": pa.float64(), "n_chars": pa.int64(),
+    "char_entropy": pa.float64(), "bigram_diversity": pa.float64(),
+    "trigram_diversity": pa.float64(), "quadgram_diversity": pa.float64(),
+    "bigram_rate": pa.float64(), "ctw_roles_bpb": pa.float64(),
+    "ctw_text_bpb": pa.float64(),
 }
-
-
-def empty_stats_frame() -> pd.DataFrame:
-    """Typed empty block so empty groups don't emit schema-less bundles."""
-    return pd.DataFrame({c: pd.Series(dtype=t)
-                         for c, t in _STATS_DTYPES.items()})
 
 
 def stable_bucket_of(values: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -182,12 +181,136 @@ def add_bucket_slab(ds, num_buckets: int, size_us: int,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized multi-group stat computation (one call per hash bucket)
+# Vectorized multi-group stat computation (one call per run of whole groups)
 # ---------------------------------------------------------------------------
+
+# Characters per BucketWindowStats call inside window_stats: consecutive
+# whole groups of a sorted block are batched up to this many UTF-8 text
+# bytes (plus one per row); a larger group is a call of its own. The
+# budget bounds a call's transient arrays: on perfbench
+# transcripts_sliding (one CPU) 256k gives a peak RSS of 871-877 MB, no
+# more than one call per group, while 1M gives 952-965 MB and no faster
+# job.
+_CHUNK_CHARS = 1 << 18
+_SENTINELS = 3          # zero classes after each turn: 4-grams stay inside
+
 
 def _ascii_upper(arr: np.ndarray) -> np.ndarray:
     lower = (arr >= 97) & (arr <= 122)
     return arr - 32 * lower.astype(arr.dtype)
+
+
+def _bits(n) -> int:
+    """Bits that hold every value in 0..n."""
+    return max(int(n).bit_length(), 1)
+
+
+def _sort_pairs(hi: np.ndarray, lo: np.ndarray, lo_bits: int,
+                payload: np.ndarray | None = None):
+    """Rows sorted by (hi, lo), non-negative int64 with lo < 2**lo_bits,
+    with ``payload`` carried along; returns (hi, lo, payload).
+
+    When hi, lo and payload fit 63 bits together they are packed into one
+    int64 and sorted by value: one ``np.sort``, no gather. Wider keys take
+    ``_argsort_pairs``.
+    """
+    pb = _bits(payload.max(initial=0)) if payload is not None else 0
+    if _bits(hi.max(initial=0)) + lo_bits + pb > 63:
+        order = _argsort_pairs(hi, lo)
+        return (hi[order], lo[order],
+                None if payload is None else payload[order])
+    key = hi << (lo_bits + pb)
+    key |= lo << pb
+    if payload is not None:
+        key |= payload
+    key.sort()
+    return (key >> (lo_bits + pb), (key >> pb) & ((1 << lo_bits) - 1),
+            None if payload is None else key & ((1 << pb) - 1))
+
+
+def _argsort_pairs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Order of rows by (hi, lo) for keys wider than 63 bits."""
+    order = np.argsort(lo, kind="stable")
+    return order[np.argsort(hi[order], kind="stable")]
+
+
+def _slot_windows(item, q, cnt, is_sorted, sq_cg, sq_slot, wc, c):
+    """(window, count) of every (k-gram, window) pair, from the counts
+    ``cnt`` of (k-gram ``item``, step-slot ``q``) pairs. The result is in
+    k-gram order, so each window's k-grams come out in ascending order, as
+    ``_segment_entropy`` needs; no window-level sort is made.
+
+    Rows sorted by (item, q) (``is_sorted``, else sorted here and summed)
+    list each (item, cg) group's slots in ascending order. Window j of a
+    row starts j slots before the row's slot (``wc``, -1 if no such
+    window); the row emits it unless it also covers the group's previous
+    slot, and its count is the row's plus those of the next c - 1 rows
+    of the group whose slots it covers.
+    """
+    n = len(item)
+    if n == 0:
+        return item, cnt
+    if not is_sorted:
+        item, q, cnt = _sort_pairs(item, q, _bits(len(sq_cg)), cnt)
+        st = np.flatnonzero(np.r_[True, (item[1:] != item[:-1])
+                                  | (q[1:] != q[:-1])])
+        item, q, cnt = item[st], q[st], np.add.reduceat(cnt, st)
+        n = len(item)
+    slot = sq_slot[q]
+    same = (item[1:] == item[:-1]) & (sq_cg[q[1:]] == sq_cg[q[:-1]])
+    # add[j, i]: count of the later row whose slot window j of row i
+    # reaches last; window j sums add[j..c-1, i]
+    add = np.zeros((c, n), dtype=np.int64)
+    run = np.ones(n - 1, dtype=bool)
+    for t in range(1, min(c, n)):
+        run = run[:n - t] & same[t - 1:]
+        i = np.flatnonzero(run)
+        d = slot[i + t] - slot[i]
+        i, d = i[d < c], d[d < c]           # row i + t's slot in reach
+        add[c - 1 - d, i] = cnt[i + t]
+    tot = np.empty((n, c), dtype=np.int64)
+    acc = cnt.copy()
+    for j in range(c - 1, -1, -1):
+        acc += add[j]
+        tot[:, j] = acc
+    gap = np.r_[c, np.where(same, np.diff(slot), c)]
+    w = wc.reshape(-1, c)[q]
+    emit = (np.arange(c)[None, :] < gap[:, None]) & (w >= 0)
+    return w[emit], tot[emit]
+
+
+def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
+    """(code points, characters per row) of a string column, nulls empty.
+    Pure-ASCII text keeps its UTF-8 bytes as uint8; other text is decoded
+    to UTF-32, so array offsets count characters either way."""
+    arr = _strings(col, "").cast(pa.large_string())
+    off = np.frombuffer(arr.buffers()[1], dtype=np.int64)[
+        arr.offset: arr.offset + len(arr) + 1]
+    buf = arr.buffers()[2]
+    data = (np.frombuffer(buf, dtype=np.uint8)[off[0]: off[-1]]
+            if buf is not None else np.zeros(0, np.uint8))
+    if not len(data) or data.max() < 128:
+        return data, np.diff(off)
+    cp = np.frombuffer(data.tobytes().decode().encode("utf-32-le"),
+                       dtype=np.uint32)
+    return cp, pc.utf8_length(arr).to_numpy().astype(np.int64)
+
+
+def _strings(col, fill: str) -> pa.Array:
+    """One string array with nulls replaced by ``fill``."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if not (pa.types.is_string(arr.type)
+            or pa.types.is_large_string(arr.type)):
+        arr = arr.cast(pa.string())
+    return pc.fill_null(arr, fill) if arr.null_count else arr
+
+
+def _int64_us(col) -> np.ndarray:
+    """Microseconds since the epoch of a timestamp column, as int64."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_timestamp(arr.type) and arr.type.unit != "us":
+        arr = arr.cast(pa.timestamp("us", arr.type.tz), safe=False)
+    return arr.cast(pa.int64()).to_numpy(zero_copy_only=False)
 
 
 def _segment_entropy(codes: np.ndarray, weights: np.ndarray, n_groups: int,
@@ -195,14 +318,14 @@ def _segment_entropy(codes: np.ndarray, weights: np.ndarray, n_groups: int,
     """-sum p*log2(p) per group for (group_code, count) pairs.
 
     np.bincount accumulates sequentially in array order; callers pass
-    codes sorted ascending (from np.unique), so per-group terms add in
-    ascending-item order — bit-identical to the kernels' sequential loop.
+    (group, item)-sorted pairs, so per-group terms add in ascending-item
+    order — bit-identical to the kernels' sequential loop.
     """
     if len(codes) == 0:
         return np.zeros(n_groups, dtype=np.float64)
     w = weights.astype(np.float64)
     p = w / denom[codes]
-    if w.min() > 0:          # counts from np.unique are always positive
+    if w.min() > 0:          # run lengths are always positive
         terms = -p * np.log2(p)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,9 +365,15 @@ def _ctw_memoized(memo_key, cap: int, keys: list, depth: int) -> np.ndarray:
                       dtype=np.float64)
 
 
+_TEXT_STATS = ("char_entropy", "bigram_diversity", "trigram_diversity",
+               "quadgram_diversity")
+
+
 class BucketWindowStats:
-    """Per-bucket vectorized window-stat computation (callable for
-    ``map_groups``). Stateless; a class so profile config is bound once.
+    """Vectorized window stats over a batch of turns holding whole groups
+    (all turns of each conversation × slab in it). Stateless; a class so
+    the profile config is bound once. ``table`` maps Arrow to Arrow;
+    calling the instance also takes a pandas frame (and returns one).
 
     profile: "full"  — everything incl. CTW (fw.rs main mode analogue)
              "fast"  — char_entropy + ctw only (entropy.rs mode analogue)
@@ -281,76 +410,95 @@ class BucketWindowStats:
             if kgram_freqs else [])
         # CTW memos are PROCESS-GLOBAL, fetched at call time via
         # _ctw_memo(): Ray pickles a fresh copy of this callable into
-        # every map_groups task, so any instance-held dict restarts cold
-        # each task — the worker-side module-level memo persists across
-        # tasks within a reused worker process (same pattern as the
-        # analysis stages' _WORKER_STATE). Bounded; depth-keyed so
-        # configs never cross-contaminate.
+        # every map task, so any instance-held dict restarts cold each
+        # task — the worker-side module-level memo persists across tasks
+        # within a reused worker process. Bounded; depth-keyed so configs
+        # never cross-contaminate.
 
-    def _empty(self) -> pd.DataFrame:
-        df = empty_stats_frame()
-        for c in self.out_columns[len(STATS_COLUMNS):]:
-            df[c] = pd.Series(dtype=object)
-        return df
+    def _schema(self, conv_type: pa.DataType) -> pa.Schema:
+        """Output schema; ``conv_id`` keeps the input's type."""
+        return pa.schema([(c, conv_type if c == "conv_id" else
+                           _STATS_TYPES.get(c, pa.list_(pa.int32())))
+                          for c in self.out_columns])
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        from .. import kernels as K
+    def __call__(self, batch):
+        """``table`` for Arrow; a pandas frame in gives a pandas frame out."""
+        if isinstance(batch, pd.DataFrame):
+            return self.table(pa.Table.from_pandas(
+                batch, preserve_index=False)).to_pandas()
+        return self.table(batch)
 
-        if len(df) == 0:
-            return self._empty()
+    def table(self, t: pa.Table) -> pa.Table:
+        """One stats row per (conv_id, window) of ``t``'s turns; every
+        group in ``t`` must be whole."""
+        names = t.column_names
+        conv = (t["conv_id"].combine_chunks() if "conv_id" in names
+                else pa.array([], pa.string()))
+        if pa.types.is_dictionary(conv.type):
+            conv = conv.cast(conv.type.value_type)
+        empty = self._schema(conv.type).empty_table()
+        if t.num_rows == 0:
+            return empty
 
         # ---- raw-row arrays: everything text-related is computed ONCE
         # per raw turn; the sliding c-fold fan-out replicates only small
-        # int arrays and char indices, never pandas object columns ----
-        n_raw = len(df)
-        ts_raw = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        cid_raw, cid_uniq = pd.factorize(df["conv_id"].to_numpy(dtype=object))
-        if "role" in df.columns:
-            # fillna BEFORE factorize: a null factorizes to code -1,
-            # which would index the LAST unique role (engine-wide null
-            # convention: role null -> "user")
-            r_codes, r_uniq = pd.factorize(
-                df["role"].fillna("user").to_numpy(dtype=object))
-            r_map = np.asarray([ROLE_ORDER.index(r) if r in ROLE_ORDER else 4
-                                for r in r_uniq], dtype=np.int64)
-            role5_raw = r_map[r_codes]
+        # int arrays and char indices ----
+        n_raw = t.num_rows
+        ts_raw = _int64_us(t["ts"])
+        conv = conv.dictionary_encode()
+        conv_raw = conv.indices.to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        if "role" in names:
+            # engine-wide null convention: role null -> "user"
+            r = _strings(t["role"], "user").dictionary_encode()
+            r_map = np.asarray([ROLE_ORDER.index(x) if x in ROLE_ORDER
+                                else 4 for x in r.dictionary.to_pylist()],
+                               dtype=np.int64)
+            role5_raw = r_map[r.indices.to_numpy(zero_copy_only=False)]
         else:
             role5_raw = np.zeros(n_raw, dtype=np.int64)
         # ---- window assignment / fan-out: ``rows`` indexes the raw row
         # behind each emitted (row, window) membership pair ----
         size = self.window_size_us or 0
         step = self.step_us
-        if step is None and "window_start" in df.columns:
+        if step is None and "window_start" in names:
             rows = np.arange(n_raw)
-            ws_e = df["window_start"].astype("datetime64[us]") \
-                .astype("int64").to_numpy()
+            ws_e = _int64_us(t["window_start"])
         elif step is None or step == size:
             rows = np.arange(n_raw)
             ws_e = tumbling_start(ts_raw, size, self.offset_us)
         else:
             rows, ws_e = sliding_starts_expand(ts_raw, size, step,
                                                self.offset_us)
-        slab_val = None
-        if self.slab_l_us and "_slab" in df.columns:
-            # composite-key mode: sliding rows near a slab's lower edge
-            # were duplicated into the previous slab — keep only
-            # memberships whose window_start lives in THIS group's slab
-            slab_val = np.int64(df["_slab"].iloc[0])
-            keep = (ws_e - self.offset_us) // self.slab_l_us == slab_val
+        # ``cg``: conversation × slab. In composite-key mode, sliding rows
+        # near a slab's lower edge were duplicated into the previous slab;
+        # each copy keeps only memberships whose window_start lives in
+        # its own slab, so every (conv, window) comes from one cg
+        cg_slab = None
+        if self.slab_l_us and "_slab" in names:
+            slab_raw = t["_slab"].to_numpy().astype(np.int64)
+            n_conv = np.int64(len(conv.dictionary))
+            cg_raw, cg_key = pd.factorize(slab_raw * n_conv + conv_raw)
+            cg_raw = cg_raw.astype(np.int64)
+            cg_conv, cg_slab = cg_key % n_conv, cg_key // n_conv
+            keep = (ws_e - self.offset_us) // self.slab_l_us \
+                == slab_raw[rows]
             rows, ws_e = rows[keep], ws_e[keep]
             if len(rows) == 0:
-                return self._empty()
-        cid_e = cid_raw[rows]
+                return empty
+        else:
+            cg_raw, cg_conv = conv_raw, np.arange(len(conv.dictionary))
         ts_e = ts_raw[rows]
         ws_uniq, ws_inv = np.unique(ws_e, return_inverse=True)
         K1 = np.int64(len(ws_uniq))
-        ukey, codes = np.unique(cid_e.astype(np.int64) * K1 + ws_inv,
+        ukey, codes = np.unique(cg_raw[rows] * K1 + ws_inv,
                                 return_inverse=True)
         G = len(ukey)
         n_turns = np.bincount(codes, minlength=G).astype(np.int64)
 
         out: dict = {
-            "conv_id": np.asarray(cid_uniq, dtype=object).take(ukey // K1),
+            "conv_id": conv.dictionary.take(
+                pa.array(cg_conv[ukey // K1], pa.int64())),
             "n_turns": n_turns,
         }
         out_ws = ws_uniq.take(ukey % K1)
@@ -370,20 +518,20 @@ class BucketWindowStats:
         role5_e = role5_raw[rows]
         role_counts = np.bincount(codes * 5 + role5_e,
                                   minlength=G * 5).reshape(G, 5)
-        a, c, g, t = (role_counts[:, i].astype(np.float64) for i in range(4))
+        a, c, g, t_ = (role_counts[:, i].astype(np.float64) for i in range(4))
         out.update({
             "n_user": role_counts[:, 0], "n_assistant": role_counts[:, 1],
             "n_system": role_counts[:, 2], "n_tool": role_counts[:, 3],
             "n_other": role_counts[:, 4],
         })
         with np.errstate(divide="ignore", invalid="ignore"):
-            out["sys_asst_share"] = (g + c) / (g + c + a + t)
+            out["sys_asst_share"] = (g + c) / (g + c + a + t_)
             out["sys_asst_skew"] = (g - c) / (g + c)
-            out["user_tool_skew"] = (a - t) / (a + t)
-        if "tool" in df.columns:
+            out["user_tool_skew"] = (a - t_) / (a + t_)
+        if "tool" in names:
             # null tool is NOT masked (engine convention: null -> "")
-            has_tool = (df["tool"].fillna("").to_numpy(dtype=object)
-                        != "").astype(np.int64)
+            has_tool = pc.not_equal(_strings(t["tool"], ""), "") \
+                .to_numpy(zero_copy_only=False).astype(np.int64)
             masked = np.bincount(codes, weights=has_tool[rows], minlength=G)
         else:
             masked = np.zeros(G)
@@ -397,263 +545,193 @@ class BucketWindowStats:
                              -pr * np.log2(np.where(pr > 0, pr, 1.0)), 0.0)
         out["role_entropy"] = terms.sum(axis=1)
 
-        if self.profile == "counts" or "text" not in df.columns:
-            for col in ("char_entropy", "bigram_diversity",
-                        "trigram_diversity", "quadgram_diversity",
-                        "bigram_rate", "ctw_roles_bpb", "ctw_text_bpb"):
-                out[col] = np.zeros(G, dtype=np.float64)
+        zeros = np.zeros(G, dtype=np.float64)
+        if self.profile == "counts" or "text" not in names:
+            for col in _TEXT_STATS + ("bigram_rate", "ctw_roles_bpb",
+                                      "ctw_text_bpb"):
+                out[col] = zeros
             out["n_chars"] = np.zeros(G, dtype=np.int64)
-            return pd.DataFrame(out)[STATS_COLUMNS]   # counts: no freq cols
+            return self._frame(out, empty.schema)
 
-        # ---- text-level stats over the RAW character corpus (joined
-        # once). Pure-ASCII corpora (the common case) use the raw bytes;
-        # otherwise UTF-32 codepoints so array offsets == CHARACTER
-        # offsets — this keeps char_entropy / k-gram diversity /
-        # bigram_rate aligned with the stateful engine and the SQL
-        # oracle's char semantics on multibyte text (round-1 ADVICE).
-        # Case folding is ASCII-only (length-preserving) on all paths. ----
-        texts_raw = df["text"].fillna("").to_numpy(dtype=object)
-        blob = "".join(texts_raw)
-        is_ascii = blob.isascii()
-        if is_ascii:
-            bytes_raw = np.frombuffer(blob.encode(), dtype=np.uint8)
+        texts = t["text"]
+        cp, lens_raw = _text_codes(texts)
+        self._text_stats(out, cp, lens_raw, rows, codes, G, ts_raw,
+                         cg_raw, cg_slab, ws_uniq, ukey, K1)
+        if self.profile == "fast":
+            for name in _TEXT_STATS[1:] + ("bigram_rate",):
+                out[name] = zeros
         else:
-            bytes_raw = np.frombuffer(blob.encode("utf-32-le"),
-                                      dtype=np.uint32)
-        lens_raw = np.fromiter(map(len, texts_raw), dtype=np.int64,
-                               count=n_raw)
-        bounds_raw = np.concatenate([[0], np.cumsum(lens_raw)])
-        upper_raw = _ascii_upper(bytes_raw)
-        if is_ascii:
-            char_rank, n_classes = upper_raw, np.int64(256)
+            out["bigram_rate"] = self._bigram_rate(
+                cp, lens_raw, texts, rows, codes, G, out["n_chars"])
+        self._finish_ctw(out, G, t, rows, ts_e, codes, role5_e)
+        return self._frame(out, empty.schema)
+
+    def _text_stats(self, out, cp, lens_raw, rows, codes, G, ts_raw,
+                    cg_raw, cg_slab, ws_uniq, ukey, K1):
+        """n_chars, char entropy (k = 1) and k = 2, 3, 4 diversity from ONE
+        sort of (group, c0, c1, c2, c3) keys.
+
+        Case folding is ASCII-only (length-preserving); classes c are
+        dense ranks 1..n of the folded code points in code-point order,
+        so sorted keys list every k-gram in the order the kernels' sorted
+        iteration adds entropy terms, for ASCII and multibyte text alike.
+        ``_SENTINELS`` zero classes follow each turn: a k-gram lies inside
+        its turn exactly when its last class is not 0, and the k-gram
+        counts are the runs of equal (group, c0..c_k-1) prefixes of the
+        sorted keys. A key is the pair hi = (group, c0), lo = (c1, c2,
+        c3), which holds any alphabet; ``_sort_pairs`` packs it into one
+        int64 when it fits. The group is the window membership; with slot
+        compression there is no group, each character carries its step
+        slot instead, and ``_slot_windows`` turns per-slot counts into
+        per-window counts.
+        """
+        n_raw = len(lens_raw)
+        nb = len(cp)
+        up = _ascii_upper(cp)
+        rank = np.cumsum(np.bincount(up, minlength=1) > 0)
+        cbits = _bits(rank[-1])
+        cmask = (1 << cbits) - 1
+        ext_start = np.concatenate(([0], np.cumsum(lens_raw + _SENTINELS)))
+        ext = np.zeros(int(ext_start[-1]), dtype=np.int64)
+        # position in ``ext`` of every raw character
+        epos = np.arange(nb, dtype=np.int64) + np.repeat(
+            np.arange(n_raw, dtype=np.int64) * _SENTINELS, lens_raw)
+        ext[epos] = rank[up]
+        kmax = 1 if self.profile == "fast" else 4
+
+        size, step = self.window_size_us or 0, self.step_us
+        sliding = bool(step is not None and step != size and size)
+        if sliding and self.slot_compress is None:
+            # adaptive gate: slot compression wins only when slots are
+            # FAT (many chars per (cg, slot)). Measured on 24 h / 6 h
+            # windows (300k-char calls, one CPU): the expanded path is
+            # 1.3x faster at 30-120 chars per slot, 1.2x at 250, even at
+            # 500; the slot path is 1.3x faster at 750 and 1.4x at 1500,
+            # and 1.05-1.7x on transcripts_sliding's calls (520-6600).
+            s_probe = (ts_raw - self.offset_us) // step
+            n_slots = len(pd.unique(
+                cg_raw * (np.int64(s_probe.max()) - s_probe.min() + 1)
+                + (s_probe - s_probe.min())))
+            sliding = nb / max(n_slots, 1) >= 512
+        elif sliding:
+            sliding = self.slot_compress
+
+        q = None
+        if not sliding:
+            # one membership per (row, window): gather each membership's
+            # characters
+            le = lens_raw[rows]
+            n_chars = np.bincount(codes, weights=le,
+                                  minlength=G).astype(np.int64)
+            pos = np.repeat(ext_start[rows] - np.cumsum(le) + le, le) \
+                + np.arange(int(le.sum()), dtype=np.int64)
+            grp = np.repeat(codes, le)
         else:
-            # dense ranks in ascending-codepoint order: entropy term
-            # order matches the engine's sorted(char_counts) iteration
-            uv, char_rank = np.unique(upper_raw, return_inverse=True)
-            n_classes = np.int64(len(uv))
+            # ---- SLOT PRE-COMPRESSION (round-3 VERDICT #7): for sliding
+            # windows (c = size/step covers) each raw character is sorted
+            # ONCE, by its k-grams and then its (cg, step-slot) ``q``; a
+            # window's count of a k-gram is the sum of the k-gram's counts
+            # in the c slots that cover the window (``_slot_windows``). ----
+            c = size // step
+            s_raw = (ts_raw - self.offset_us) // step
+            smin = np.int64(s_raw.min())
+            SL = np.int64(s_raw.max()) - smin + 1
+            sq_uniq, sq_codes = np.unique(cg_raw * SL + (s_raw - smin),
+                                          return_inverse=True)
+            sq_cg, sq_slot = sq_uniq // SL, sq_uniq % SL
+            ws_cand = ((sq_slot + smin)[:, None]
+                       - np.arange(c)[None, :]) * step + self.offset_us
+            valid = ws_cand >= self.offset_us
+            if cg_slab is not None:
+                valid &= ((ws_cand - self.offset_us) // self.slab_l_us
+                          == cg_slab[sq_cg][:, None])
+            # window code of (slot q, cover j) at q * c + j, -1 if invalid
+            wc = np.full(valid.shape, -1, dtype=np.int64)
+            wc[valid] = np.searchsorted(
+                ukey, np.broadcast_to(sq_cg[:, None], valid.shape)[valid]
+                * K1 + np.searchsorted(ws_uniq, ws_cand[valid]))
+            wc = wc.ravel()
+            sl_chars = np.bincount(sq_codes, weights=lens_raw,
+                                   minlength=len(sq_uniq)).astype(np.int64)
+            n_chars = np.bincount(
+                wc[wc >= 0], weights=np.repeat(sl_chars, c)[wc >= 0],
+                minlength=G).astype(np.int64)
+            pos, grp = epos, 0
+            q = np.repeat(sq_codes, lens_raw)
+        out["n_chars"] = n_chars
+        if len(pos) == 0:
+            for name in _TEXT_STATS[:kmax]:
+                out[name] = np.zeros(G, dtype=np.float64)
+            return
 
-        nb = len(bytes_raw)
+        lo = np.zeros(len(ext), dtype=np.int64)
+        for j in range(1, kmax):
+            lo[:-j] |= ext[j:] << (cbits * (kmax - 1 - j))
+        hi, lo, q = _sort_pairs((grp << cbits) | ext[pos], lo[pos],
+                                cbits * (kmax - 1), q)
+        # distinct (group, c0..c3[, slot]) keys with their counts; every
+        # k below works on these
+        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
+        if sliding:
+            new[1:] |= q[1:] != q[:-1]
+        starts = np.flatnonzero(new)
+        ecnt = np.diff(starts, append=len(hi))
+        hi, lo = hi[starts], lo[starts]
+        q = None if q is None else q[starts]
+        new = np.r_[True, hi[1:] != hi[:-1]]
+        denom = n_chars.astype(np.float64)
+        denom[denom == 0] = 1.0
+        for k in range(1, kmax + 1):
+            lo_k = lo >> (cbits * (kmax - k))
+            if k > 1:
+                new[1:] |= lo_k[1:] != lo_k[:-1]
+            # k-grams that end inside their turn
+            keep = (lo_k & cmask) != 0 if k > 1 else slice(None)
+            if sliding:
+                # the k-gram's rank among these keys stands for it
+                item = np.cumsum(new)[keep]
+                w, cnt = _slot_windows(item, q[keep], ecnt[keep], k == kmax,
+                                       sq_cg, sq_slot, wc, c)
+            else:
+                st = np.flatnonzero(new)
+                w = hi[st] >> cbits
+                cnt = np.add.reduceat(ecnt, st)
+                if k > 1:
+                    w, cnt = w[keep[st]], cnt[keep[st]]
+            if k > 1:
+                denom = np.bincount(w, weights=cnt, minlength=G)
+                denom[denom == 0] = 1.0
+            out[_TEXT_STATS[k - 1]] = _segment_entropy(w, cnt, G, denom)
 
-        # designated-bigram counts per RAW row (A9; non-self-overlapping,
-        # never crossing turn boundaries) — shared by both char paths
+    def _bigram_rate(self, cp, lens_raw, texts, rows, codes, G, n_chars):
+        """Designated-bigram count / n_chars (A9; non-self-overlapping,
+        never crossing turn boundaries)."""
+        nb = len(cp)
+        n_raw = len(lens_raw)
         if len(self.bigram) == 2 and nb >= 2:
             b0, b1 = (ord(ch) for ch in self.bigram)
-            m = (bytes_raw[:-1] == b0) & (bytes_raw[1:] == b1)
-            ends = bounds_raw[1:] - 1
+            m = (cp[:-1] == b0) & (cp[1:] == b1)
+            ends = np.cumsum(lens_raw) - 1
             ends = ends[(ends >= 0) & (ends < len(m))]
             m[ends] = False                      # cross-turn matches
             row_of_pos = np.repeat(np.arange(n_raw), lens_raw)[: len(m)]
             big_raw = np.bincount(row_of_pos[m], minlength=n_raw)
         else:
-            big_raw = np.fromiter((s.count(self.bigram) for s in texts_raw),
-                                  dtype=np.int64, count=n_raw)
-
-        def kgram_ranks(k: int):
-            """Global k-gram ranks over the raw byte corpus + group shift
-            (identical on both char paths — bit-exactness contract)."""
-            if is_ascii:
-                r = upper_raw[: nb - k + 1].astype(np.int64)
-                for j in range(1, k):
-                    r = r * 256 + upper_raw[j: nb - k + 1 + j]
-                shift = np.int64(1) << 40     # rank < 2^32, codes < 2^23
-            else:
-                # iterative dense factorization: ranks stay < n positions
-                # (no overflow for any alphabet size) and remain in
-                # lexicographic k-gram order at every step
-                r = char_rank[: nb - k + 1].astype(np.int64)
-                for j in range(1, k):
-                    r = r * n_classes + char_rank[j: nb - k + 1 + j]
-                    r = np.unique(r, return_inverse=True)[1]
-                shift = np.int64(r.max()) + 1 if len(r) else np.int64(1)
-            return r, shift
-
-        sliding = step is not None and step != size and size
-        if sliding:
-            # adaptive gate: slot compression wins only when slots are
-            # FAT (many chars per (conv, slot) vs the per-slot distinct
-            # alphabet) — on sparse corpora (~1 short turn per slot) the
-            # histogram-merge machinery moves MORE bytes than the plain
-            # expansion it replaces (measured ~1.1x slower at 128x
-            # replication of the sparse synthetic corpus vs 2.8x faster
-            # on fat groups). Estimate chars/slot cheaply and fall back
-            # to the expanded path below the crossover.
-            if self.slot_compress is None:
-                s_probe = (ts_raw - self.offset_us) // step
-                spl = np.int64(s_probe.max()) - np.int64(s_probe.min()) + 1
-                n_slots = len(np.unique(
-                    cid_raw.astype(np.int64) * spl
-                    + (s_probe - s_probe.min())))
-                sliding = nb / max(n_slots, 1) >= 256
-            else:
-                sliding = self.slot_compress
-        if sliding:
-            # ---- SLOT PRE-COMPRESSION (round-3 VERDICT #7): for sliding
-            # windows (c = size/step covers) the char-level stats are
-            # aggregated per (conv, step-slot) FIRST — each raw character
-            # is touched once — and each window then merges the compact
-            # histograms of its c slots. The expanded per-(char ×
-            # membership) arrays (c × total_chars int64 entries, the
-            # memory-bandwidth hog) are never materialized. Bit-exact:
-            # merged integer counts are identical and _segment_entropy
-            # still receives terms in ascending (window, item) order. ----
-            c = size // step
-            s_raw = (ts_raw - self.offset_us) // step
-            smin = np.int64(s_raw.min())
-            SL = np.int64(s_raw.max()) - smin + 1
-            sq_uniq, sq_codes = np.unique(
-                cid_raw.astype(np.int64) * SL + (s_raw - smin),
-                return_inverse=True)
-            Gs = len(sq_uniq)
-            sq_conv = (sq_uniq // SL).astype(np.int64)
-            sq_slot = (sq_uniq % SL) + smin
-            # valid (slot-group, cover j) -> window-group code
-            ws_cand = (sq_slot[:, None] - np.arange(c)[None, :]) * step \
-                + self.offset_us
-            valid = ws_cand >= self.offset_us
-            if slab_val is not None:
-                valid &= ((ws_cand - self.offset_us)
-                          // self.slab_l_us) == slab_val
-            qv, _jv = np.nonzero(valid)
-            wsv = ws_cand[valid]
-            wc = np.searchsorted(
-                ukey, sq_conv[qv] * K1 + np.searchsorted(ws_uniq, wsv))
-            reps_q = np.bincount(qv, minlength=Gs)
-            cov_off = np.concatenate(([0], np.cumsum(reps_q)))
-
-            def merge_hist(item_of_slot: np.ndarray, s_of: np.ndarray,
-                           cnt_s: np.ndarray, shift: np.int64):
-                """Fan per-slot (item, count) hist rows out to the windows
-                covering the slot; return merged (wcode, cnt int64) in
-                ascending (window, item) order."""
-                rep = reps_q[s_of]
-                idx = np.repeat(np.arange(len(s_of)), rep)
-                pos = np.arange(int(rep.sum()), dtype=np.int64) \
-                    - np.repeat(np.cumsum(rep) - rep, rep)
-                wt = wc[cov_off[s_of[idx]] + pos]
-                wkey = wt * shift + item_of_slot[idx]
-                uk, inv = np.unique(wkey, return_inverse=True)
-                cnt = np.bincount(inv, weights=cnt_s[idx].astype(np.float64))
-                return (uk // shift).astype(np.int64), cnt.astype(np.int64)
-
-            # per-slot char totals -> window n_chars
-            sl_chars = np.bincount(sq_codes, weights=lens_raw,
-                                   minlength=Gs).astype(np.int64)
-            n_chars = np.zeros(G, dtype=np.int64)
-            np.add.at(n_chars, wc, sl_chars[qv])
-            out["n_chars"] = n_chars
-            denom = n_chars.astype(np.float64).copy()
-            denom[denom == 0] = 1.0
-
-            # char entropy from merged per-slot char histograms
-            sq_per_char = np.repeat(sq_codes, lens_raw)
-            suk, scnt = np.unique(sq_per_char * n_classes + char_rank,
-                                  return_counts=True)
-            gc, cnt = merge_hist((suk % n_classes), (suk // n_classes)
-                                 .astype(np.int64), scnt, n_classes)
-            out["char_entropy"] = _segment_entropy(gc, cnt, G, denom)
-
-            if self.profile == "fast":
-                for name in ("bigram_diversity", "trigram_diversity",
-                             "quadgram_diversity", "bigram_rate"):
-                    out[name] = np.zeros(G, dtype=np.float64)
-                return self._finish_ctw(out, K, G, df, rows, ts_e, codes,
-                                        role5_e, texts_raw)
-
-            within_raw = np.arange(nb, dtype=np.int64) \
-                - np.repeat(bounds_raw[:-1], lens_raw)
-            lens_rep_raw = np.repeat(lens_raw, lens_raw)
-            for k, name in ((2, "bigram_diversity"),
-                            (3, "trigram_diversity"),
-                            (4, "quadgram_diversity")):
-                if nb < k:
-                    out[name] = np.zeros(G, dtype=np.float64)
-                    continue
-                r, shift = kgram_ranks(k)
-                maskk = within_raw <= lens_rep_raw - k
-                if not maskk.any():
-                    out[name] = np.zeros(G, dtype=np.float64)
-                    continue
-                p = np.flatnonzero(maskk)
-                kuk, kcnt = np.unique(
-                    sq_per_char[p] * shift + r[p], return_counts=True)
-                gck, cntk = merge_hist((kuk % shift),
-                                       (kuk // shift).astype(np.int64),
-                                       kcnt, shift)
-                total = np.bincount(gck, weights=cntk, minlength=G)
-                total[total == 0] = 1.0
-                out[name] = _segment_entropy(gck, cntk, G, total)
-
-            sbig = np.bincount(sq_codes, weights=big_raw,
-                               minlength=Gs).astype(np.int64)
-            bsum = np.zeros(G, dtype=np.float64)
-            np.add.at(bsum, wc, sbig[qv].astype(np.float64))
-            out["bigram_rate"] = bsum / denom
-            return self._finish_ctw(out, K, G, df, rows, ts_e, codes,
-                                    role5_e, texts_raw)
-
-        # ---- tumbling / precomputed-window path: one membership per raw
-        # row, no fan-out — per-char gather is already minimal ----
-        # gather map: expanded char -> raw byte index
-        le = lens_raw[rows]
-        tot = int(le.sum())
-        cum = np.cumsum(le) - le
-        within = np.arange(tot, dtype=np.int64) - np.repeat(cum, le)
-        char_idx = within + np.repeat(bounds_raw[rows], le)
-        codes_per_char = np.repeat(codes, le)
-
-        n_chars = np.bincount(codes, weights=le, minlength=G).astype(np.int64)
-        out["n_chars"] = n_chars
-        denom = n_chars.astype(np.float64).copy()
+            big_raw = np.fromiter(
+                (s.count(self.bigram)
+                 for s in _strings(texts, "").to_pylist()),
+                dtype=np.int64, count=n_raw)
+        denom = n_chars.astype(np.float64)
         denom[denom == 0] = 1.0
+        return np.bincount(codes, weights=big_raw[rows], minlength=G) / denom
 
-        # char entropy: per-class over ASCII-folded characters (A7 analogue)
-        ckey = codes_per_char * n_classes + char_rank[char_idx]
-        uk, cnt = np.unique(ckey, return_counts=True)
-        out["char_entropy"] = _segment_entropy(
-            (uk // n_classes).astype(np.int64), cnt, G, denom)
-
-        # "fast" profile = the entropy.rs reduced-column mode: char
-        # entropy + CTW only (entropy.rs:76-85 design note)
-        if self.profile == "fast":
-            for name in ("bigram_diversity", "trigram_diversity",
-                         "quadgram_diversity", "bigram_rate"):
-                out[name] = np.zeros(G, dtype=np.float64)
-            return self._finish_ctw(out, K, G, df, rows, ts_e, codes,
-                                    role5_e, texts_raw)
-
-        # k-gram diversity k=2,3,4 (A10): ranks computed ONCE on the raw
-        # bytes, gathered per window membership; k-grams never cross turn
-        # boundaries (within-row offset mask)
-        le_rep = np.repeat(le, le)
-        for k, name in ((2, "bigram_diversity"), (3, "trigram_diversity"),
-                        (4, "quadgram_diversity")):
-            if nb < k:
-                out[name] = np.zeros(G, dtype=np.float64)
-                continue
-            r, shift = kgram_ranks(k)
-            mask = within <= le_rep - k
-            if not mask.any():
-                out[name] = np.zeros(G, dtype=np.float64)
-                continue
-            key = codes_per_char[mask] * shift + r[char_idx[mask]]
-            uk2, cnt2 = np.unique(key, return_counts=True)
-            gc2 = (uk2 // shift).astype(np.int64)
-            total = np.bincount(gc2, weights=cnt2, minlength=G)
-            total[total == 0] = 1.0
-            out[name] = _segment_entropy(gc2, cnt2, G, total)
-
-        bsum = np.bincount(codes, weights=big_raw[rows], minlength=G)
-        out["bigram_rate"] = bsum / denom
-
-        return self._finish_ctw(out, K, G, df, rows, ts_e, codes, role5_e,
-                                texts_raw)
-
-    def _finish_ctw(self, out, K, G, df, rows, ts_e, codes, role5_e,
-                    texts_raw) -> pd.DataFrame:
+    def _finish_ctw(self, out, G, t, rows, ts_e, codes, role5_e):
         # ---- order-dependent per-window kernels (CTW), memoized ----
+        from .. import kernels as K
+
         need_ctw = self.profile in ("full", "fast") and self.ctw_depth >= 0
-        uid_raw = (df["turn_uid"].to_numpy() if "turn_uid" in df.columns
-                   else np.arange(len(df)))
+        uid_raw = (t["turn_uid"].to_numpy() if "turn_uid" in t.column_names
+                   else np.arange(t.num_rows))
         if need_ctw or self.ctw_text or self.kgram_freqs:
             order = np.lexsort((uid_raw[rows], ts_e, codes))
             codes_s = codes[order]
@@ -671,6 +749,7 @@ class BucketWindowStats:
         # char-class CTW over ordered window text (opt-in; the reference's
         # per-character dominant cost, fw.rs:92 over the window sequence)
         if self.ctw_text:
+            texts_raw = _strings(t["text"], "").to_pylist()
             raw_s = rows[order]
             out["ctw_text_bpb"] = _ctw_memoized(
                 ("text", self.ctw_depth), 1_000_000,
@@ -691,22 +770,24 @@ class BucketWindowStats:
             m = len(lex)
             for k in (2, 3, 4):
                 V = 5 ** k
-                name = f"kgram_freq_k{k}"
-                if m < k:
-                    out[name] = [np.zeros(V, dtype=np.int32)
-                                 for _ in range(G)]
-                    continue
-                r = lex[: m - k + 1].copy()
-                same = codes_s[: m - k + 1] == codes_s[k - 1:]
-                for j in range(1, k):
-                    r = r * 5 + lex[j: m - k + 1 + j]
-                key = codes_s[: m - k + 1][same] * V + r[same]
                 mat = np.zeros((G, V), dtype=np.int32)
-                uk, cnt = np.unique(key, return_counts=True)
-                mat[uk // V, uk % V] = cnt
-                out[name] = list(mat)
+                if m >= k:
+                    r = lex[: m - k + 1].copy()
+                    same = codes_s[: m - k + 1] == codes_s[k - 1:]
+                    for j in range(1, k):
+                        r = r * 5 + lex[j: m - k + 1 + j]
+                    key = codes_s[: m - k + 1][same] * V + r[same]
+                    uk, cnt = np.unique(key, return_counts=True)
+                    mat[uk // V, uk % V] = cnt
+                out[f"kgram_freq_k{k}"] = pa.ListArray.from_arrays(
+                    pa.array(np.arange(0, G * V + 1, V, dtype=np.int32)),
+                    pa.array(mat.ravel()))
 
-        return pd.DataFrame(out)[self.out_columns]
+    def _frame(self, out: dict, schema: pa.Schema) -> pa.Table:
+        return pa.Table.from_arrays(
+            [pa.array(out[f.name], f.type, from_pandas=True)
+             if isinstance(out[f.name], np.ndarray) else out[f.name]
+             for f in schema], schema=schema)
 
 
 def turn_window_counts(ds, w_turns: int, num_buckets: int = 64):
@@ -765,6 +846,25 @@ def turn_window_counts(ds, w_turns: int, num_buckets: int = 64):
                                            batch_format="pandas")
 
 
+def _group_chunks(keys: np.ndarray, cost: np.ndarray,
+                  budget: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) over ``keys`` (equal keys adjacent): consecutive
+    whole runs of equal keys, each range closed before the run that would
+    take its summed ``cost`` past ``budget``. A run over budget is a range
+    of its own."""
+    if len(keys) == 0:
+        return []
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    out, a, acc = [], 0, 0
+    for s, rc in zip(starts.tolist(), np.add.reduceat(cost, starts).tolist()):
+        if acc and acc + rc > budget:
+            out.append((a, s))
+            a, acc = s, 0
+        acc += rc
+    out.append((a, len(keys)))
+    return out
+
+
 def window_stats(ds, size_us: int, step_us: int | None = None,
                  offset_us: int = 0, profile: str = "full",
                  num_buckets: int = 64, ctw_depth: int = 6,
@@ -774,17 +874,22 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
     """End-to-end windowed stats over a transcript Dataset.
 
     Tumbling when ``step_us`` is None or == size_us, else sliding
-    (size % step == 0). Returns a Dataset with STATS_COLUMNS.
+    (size % step == 0). Returns a Dataset with STATS_COLUMNS (plus the
+    ``kgram_freq_k*`` list columns with ``kgram_freqs``), as Arrow blocks.
 
-    Shape: the ONE shuffle moves raw turns keyed by (conv_id hash
-    bucket × time slab); window assignment (incl. the sliding fan-out)
-    and all stat computation run vectorized inside the per-group task.
+    Shape: ``sort`` on the (conv_id hash bucket × time slab) key is the
+    ONE shuffle and puts every group whole into one block; then
+    ``map_batches(batch_size=None)`` cuts each block into runs of whole
+    groups of about ``_CHUNK_CHARS`` characters (a larger group runs
+    alone) and computes each run with one ``BucketWindowStats`` call.
+    Window assignment (incl. the sliding fan-out) and all stat
+    computation happen there, vectorized.
 
     ``slab_windows``: windows per time slab of the composite grouping
-    key. Bounds per-task group size by (rows per slab / num_buckets)
-    instead of (total rows / num_buckets) — the 100-TB requirement: a
-    year of data at fixed num_buckets no longer concentrates into
-    num_buckets giant groups. None disables (plain bucket grouping).
+    key. Bounds group size by (rows per slab / num_buckets) instead of
+    (total rows / num_buckets) — the 100-TB requirement: a year of data
+    at fixed num_buckets no longer concentrates into num_buckets giant
+    groups. None disables (plain bucket grouping).
     """
     slab_l = None
     if slab_windows:
@@ -800,8 +905,19 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
                              ctw_text=ctw_text, slab_l_us=slab_l,
                              kgram_freqs=kgram_freqs)
 
-    def bucket_window_stats(df: pd.DataFrame) -> pd.DataFrame:
-        return inst(df)
+    budget = _CHUNK_CHARS
 
-    return (ds.groupby(group_key)
-              .map_groups(bucket_window_stats, batch_format="pandas"))
+    def bucket_window_stats(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return inst.table(block)
+        cost = np.ones(block.num_rows, dtype=np.int64)
+        if "text" in block.column_names:
+            cost += pc.binary_length(_strings(block["text"], "")) \
+                .to_numpy().astype(np.int64)
+        return pa.concat_tables([
+            inst.table(block.slice(a, b - a)) for a, b in _group_chunks(
+                block[group_key].to_numpy(), cost, budget)])
+
+    return ds.sort(group_key).map_batches(
+        bucket_window_stats, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True)

@@ -2,7 +2,7 @@
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fasta_windows_ray import kernels as K
 from fasta_windows_ray.state.engine import WindowConfig, _WindowAcc
@@ -205,6 +205,7 @@ def test_match_sequence_scan_equals_reference(rows):
 
 @given(st.lists(st.text(min_size=0, max_size=8), min_size=1, max_size=300),
        st.integers(1, 150))
+@example(keys=["", "\x00"], cut=1)
 @settings(max_examples=60, deadline=None)
 def test_hll_registers_merge_any_split(keys, cut):
     """Register-wise max over ANY 2-way split equals the whole-stream
