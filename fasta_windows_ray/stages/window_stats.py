@@ -212,11 +212,11 @@ def _sort_pairs(hi: np.ndarray, lo: np.ndarray, lo_bits: int,
 
     When hi, lo and payload fit 63 bits together they are packed into one
     int64 and sorted by value: one ``np.sort``, no gather. Wider keys take
-    ``_argsort_pairs``.
+    ``_argsort_pairs``, which gives the same order, payload included.
     """
     pb = _bits(payload.max(initial=0)) if payload is not None else 0
     if _bits(hi.max(initial=0)) + lo_bits + pb > 63:
-        order = _argsort_pairs(hi, lo)
+        order = _argsort_pairs(hi, lo, payload)
         return (hi[order], lo[order],
                 None if payload is None else payload[order])
     key = hi << (lo_bits + pb)
@@ -228,10 +228,10 @@ def _sort_pairs(hi: np.ndarray, lo: np.ndarray, lo_bits: int,
             None if payload is None else key & ((1 << pb) - 1))
 
 
-def _argsort_pairs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Order of rows by (hi, lo) for keys wider than 63 bits."""
-    order = np.argsort(lo, kind="stable")
-    return order[np.argsort(hi[order], kind="stable")]
+def _argsort_pairs(hi: np.ndarray, lo: np.ndarray,
+                   payload: np.ndarray | None = None) -> np.ndarray:
+    """Order of rows by (hi, lo, payload) for keys wider than 63 bits."""
+    return np.lexsort((lo, hi) if payload is None else (payload, lo, hi))
 
 
 def _slot_windows(item, q, cnt, is_sorted, sq_cg, sq_slot, wc, c):
@@ -603,16 +603,18 @@ class BucketWindowStats:
         sliding = bool(step is not None and step != size and size)
         if sliding and self.slot_compress is None:
             # adaptive gate: slot compression wins only when slots are
-            # FAT (many chars per (cg, slot)). Measured on 24 h / 6 h
-            # windows (300k-char calls, one CPU): the expanded path is
-            # 1.3x faster at 30-120 chars per slot, 1.2x at 250, even at
-            # 500; the slot path is 1.3x faster at 750 and 1.4x at 1500,
-            # and 1.05-1.7x on transcripts_sliding's calls (520-6600).
+            # FAT (many chars per (cg, slot)). The slot path is 1.05-1.7x
+            # faster on perfbench transcripts_sliding's calls (520-6600
+            # chars per slot, one CPU). No benchmark workload has sparser
+            # slots; a synthetic sparse input (24 h / 6 h windows, 300k-char
+            # calls) put the crossover near 500-750 chars per slot, so 256
+            # may be low, but that input is not in the repo and the gate
+            # stays where it was until a workload on that side checks it.
             s_probe = (ts_raw - self.offset_us) // step
             n_slots = len(pd.unique(
                 cg_raw * (np.int64(s_probe.max()) - s_probe.min() + 1)
                 + (s_probe - s_probe.min())))
-            sliding = nb / max(n_slots, 1) >= 512
+            sliding = nb / max(n_slots, 1) >= 256
         elif sliding:
             sliding = self.slot_compress
 

@@ -173,8 +173,8 @@ def test_wide_keys_match_engine_and_kernels(monkeypatch, kind,
     size, step = (10 * S, None) if kind == "tumbling" else (20 * S, 10 * S)
     calls = []
     real = W._argsort_pairs
-    monkeypatch.setattr(W, "_argsort_pairs",
-                        lambda hi, lo: calls.append(len(hi)) or real(hi, lo))
+    monkeypatch.setattr(W, "_argsort_pairs", lambda *a: calls.append(
+        len(a[0])) or real(*a))
     got = _canon(W.BucketWindowStats(
         profile="full", ctw_depth=-1, window_size_us=size,
         step_us=step or size, slot_compress=slot_compress)(df))
@@ -211,6 +211,48 @@ def test_wide_keys_match_engine_and_kernels(monkeypatch, kind,
                     kg[g] = kg.get(g, 0) + n
             assert abs(row[name] - K.entropy_from_counts(
                 [kg[g] for g in sorted(kg)])) < 1e-12
+
+
+@pytest.mark.parametrize("slot_compress", [True, False])
+def test_wide_keys_repeated_kgrams_shuffled_rows(monkeypatch, slot_compress):
+    """Wide keys with k-grams that repeat across turns, slots and
+    conversations, and rows in no time order: the argsort branch must
+    order equal k-grams by slot as the packed sort does, and the result
+    must match the stream engine."""
+    rng = np.random.default_rng(23)
+    alphabet = np.array([chr(0x4E00 + i) for i in range(9000)])
+    phrases = ["".join(rng.choice(alphabet, 6)) for _ in range(12)]
+    n = 1200
+    texts = ["".join(rng.choice(alphabet, 30)) + "".join(
+        rng.choice(phrases, int(rng.integers(1, 4)))) for _ in range(n)]
+    df = pd.DataFrame({
+        "conv_id": [f"z{i % 3}" for i in range(n)],
+        "turn_uid": np.arange(n, dtype=np.int64),
+        "role": rng.choice(["user", "assistant", "tool"], n),
+        "text": texts, "tool": "",
+        "ts": pd.to_datetime(EPOCH + np.arange(n) * 4 * S, unit="us"),
+    })
+    size, step = 30 * S, 10 * S
+    calls = []
+    real = W._argsort_pairs
+    monkeypatch.setattr(W, "_argsort_pairs", lambda *a: calls.append(
+        len(a[0])) or real(*a))
+    got = _canon(W.BucketWindowStats(
+        profile="full", ctw_depth=-1, window_size_us=size, step_us=step,
+        slot_compress=slot_compress)(
+            df.iloc[rng.permutation(n)].reset_index(drop=True)))
+    assert calls, "the wide-key branch did not run"
+
+    cfg = WindowConfig(kind="sliding", size_us=size, step_us=step,
+                       ctw_depth=-1)
+    eng = StreamEngine(cfg)
+    ref = _canon(emitted_to_frame(eng.process_rows(df) + eng.flush(),
+                                  "sliding"))
+    assert len(got) == len(ref) > 1000
+    assert (got["window_start"] == ref["window_start"]).all()
+    for c in _TEXT_COLS:
+        np.testing.assert_allclose(got[c].astype(float), ref[c].astype(float),
+                                   rtol=0, atol=1e-12, err_msg=c)
 
 
 def test_group_chunks_budget():
