@@ -212,17 +212,17 @@ def q_sliding_role_counts(sf_dir: str):
 
 def q_session_windows(sf_dir: str):
     """Gap-based session windows — TWO independent implementations under
-    one driver row (see _parity): the per-bucket map_groups pass and the
-    hot-key-safe salted interval-stitch (batch-local partial sessions
-    merged by gap). Both must be exactly equal; the map_groups result
-    goes to the SQL oracle."""
+    one driver row (see _parity): the session assigner + stats kernel
+    pass and the hot-key-safe salted interval-stitch (batch-local partial
+    sessions merged by gap). Both must be exactly equal; the kernel
+    result goes to the SQL oracle."""
     from ..stages.salted import salted_session_counts
     from ..stages.sessions import session_stats
     ds = read_transcripts(sf_dir, columns=["conv_id", "ts"])
     a = session_stats(ds, SESSION_GAP_US).to_pandas()
     b = salted_session_counts(
         read_transcripts(sf_dir, columns=["conv_id", "ts"]), SESSION_GAP_US)
-    return _parity(a, b, "session_windows: map_groups vs salted stitch")
+    return _parity(a, b, "session_windows: kernel vs salted stitch")
 
 
 def q_window_join_back(sf_dir: str):
@@ -598,8 +598,9 @@ def q_session_window_stats(sf_dir: str):
     engine — gap windows with the same histogram math as fixed windows.
 
     TWO implementations under one driver row (see _parity): the
-    watermark-engine replay and the bounded-group salted interval-stitch
-    of pickled accumulator partials (round-2 VERDICT #4). The stateful
+    watermark-engine replay and the bounded-group salted path (sessions
+    stitched from timestamps, turns spread by session, one stats-kernel
+    pass; round-2 VERDICT #4). The stateful
     result goes to the SQL oracle. (This also subsumes the former
     ``stateful_session_windows`` counts-profile row: the full profile
     exercises the same engine session path with MORE columns.)"""
@@ -617,7 +618,7 @@ def q_session_window_stats(sf_dir: str):
     b = salted_session_stats(read_transcripts(sf_dir), SESSION_GAP_US,
                              ctw_depth=-1).to_pandas()
     b = _round6(b[cols].copy(), ["role_entropy", "char_entropy"])
-    return _parity(out, b, "session_window_stats: engine vs salted stitch")
+    return _parity(out, b, "session_window_stats: engine vs salted kernel")
 
 
 def q_lang_id(sf_dir: str):

@@ -1,23 +1,25 @@
-"""Skew handling: salted pre-aggregation of hot conversations.
+"""Skew handling for hot conversations.
 
 A single million-turn conversation must not serialise the job (the
 reference's main mode has exactly this straggler: one chromosome = one
 rayon task, fw.rs:68-145; its entropy mode fixed it with par_chunks,
-entropy.rs:78-85). Every histogram-backed stat (SURVEY.md §2.3) is a
-function of mergeable count vectors, so:
+entropy.rs:78-85). Two shapes keep a hot key's work spread out:
 
-    map_batches:  partial histograms per (conv_id, window_start, salt)
-                  — salt = row-index-derived, splits a hot key's rows
-                  across many partials, all computed batch-locally
-    groupby:      merge partials per (conv_id, window_start) — the
-                  shuffle moves only small count rows, never turns
+- ``salted_window_counts``: role histograms are mergeable count vectors,
+  so each batch emits partial counts per (conv_id, window_start) — the
+  batch is the salt — and a merge reduce adds them up. The shuffle moves
+  only small count rows, never turns.
+- sessions: ``salted_session_counts`` finds sessions from timestamps
+  alone (batch-local gap-maximal intervals, stitched across batches by
+  gap). ``salted_session_stats`` looks each turn's session up in that
+  interval table and sorts the turns on a hash of (conv_id,
+  session_start), so a hot conversation's sessions land in different
+  groups; one ``BucketWindowStats`` pass then computes every session's
+  full stats, CTW included, from its ordered turns.
 
-CTW (order-dependent, §2.3 A11) cannot be salted; the full-stats path
-computes it post-merge from ordered turns (window_stats), and this salted
-path serves the counts/entropy profile where hot keys matter most.
-
-The pytest gate (F23) asserts the salted result is bit-equal to the
-unsalted groupby path on a hot-key corpus.
+Pytest gates: the salted counts equal the unsalted ``window_stats`` (F23),
+the salted sessions equal ``session_stats``, and the full session stats
+equal the stream engine's, on hot-key corpora.
 """
 
 from __future__ import annotations
@@ -25,63 +27,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .window_stats import ROLE_ORDER, tumbling_start
-
-
-def merge_window_acc(dst, src) -> None:
-    """Merge one ``_WindowAcc`` into another: all state is additive
-    integer counts plus a turn sequence that finalize re-sorts, so
-    splitting a window's rows across accumulators and merging is
-    bit-identical to single-pass accumulation (hypothesis-gated in
-    tests/test_properties.py) — except k-gram histograms past
-    KGRAM_CAP, which spill to the bounded sketch exactly as single-pass
-    accumulation would (documented approximate; spill-merge gated in
-    tests/test_skew.py)."""
-    from ..state.engine import KGRAM_CAP, _BoundedKgrams, _merge_counts
-    for i in range(5):
-        dst.role_counts[i] += src.role_counts[i]
-    dst.masked += src.masked
-    dst._nt += src._nt
-    dst.n_chars += src.n_chars
-    dst.big_cnt += src.big_cnt
-    _merge_counts(dst.char_counts, src.char_counts)
-    for j in (0, 1, 2):
-        s_spill = src.kg_spill.get(j) if src.kg_spill else None
-        s_exact = src.kg[j]
-        d_spill = dst.kg_spill.get(j) if dst.kg_spill else None
-        if s_spill is None and not s_exact:
-            continue
-        if d_spill is None and s_spill is None:
-            d = dst.kg[j]
-            _merge_counts(d, s_exact)
-            if len(d) > KGRAM_CAP:          # re-spill past the cap
-                d_spill = _BoundedKgrams(d)
-            else:
-                continue
-        elif d_spill is None:                # dst exact, src spilled
-            d_spill = _BoundedKgrams(dst.kg[j])
-            d_spill.merge_sketch(s_spill)
-        elif s_spill is None:                # dst spilled, src exact
-            for g, c in s_exact.items():
-                d_spill.add(g, c)
-        else:                                # both spilled
-            d_spill.merge_sketch(s_spill)
-        if dst.kg_spill is None:
-            dst.kg_spill = {}
-        dst.kg_spill[j] = d_spill
-        dst.kg[j] = None
-    if dst.turns is not None and src.turns is not None:
-        dst.turns.extend(src.turns)
-    elif src.turns is None and src._ts_counts is not None:
-        dst.turns = None
-        if dst._ts_counts is None:
-            dst._ts_counts = {}
-        _merge_counts(dst._ts_counts, src._ts_counts)
-    dst.texts.update(src.texts)
-
-PARTIAL_COLS = ["conv_id", "window_start", "n_user", "n_assistant",
-                "n_system", "n_tool", "n_other", "n_masked"]
+from .sessions import session_bounds
+from .window_stats import (ROLE_ORDER, BucketWindowStats, STATS_COLUMNS,
+                           _int64_us, add_bucket, role_stats,
+                           stable_bucket_of, stats_by_group, tumbling_start)
 
 
 def salted_window_counts(ds, size_us: int, offset_us: int = 0,
@@ -127,158 +78,75 @@ def salted_window_counts(ds, size_us: int, offset_us: int = 0,
     part = ds.map_batches(partials, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    def add_merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-        df = df.copy()
-        df["_mb"] = [zlib.crc32(c.encode()) % num_merge_buckets
-                     for c in df["conv_id"]]
-        return df
-
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["conv_id", "window_start"], sort=True).sum(
             numeric_only=True).reset_index()
-        rc = g[["n_user", "n_assistant", "n_system", "n_tool",
-                "n_other"]].to_numpy(dtype=np.int64)
-        n_turns = rc.sum(axis=1)
-        a, c, gg, t = (rc[:, i].astype(np.float64) for i in range(4))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = (gg + c) / (gg + c + a + t)
-            skew_gc = (gg - c) / (gg + c)
-            skew_at = (a - t) / (a + t)
-        pr = rc.astype(np.float64) / n_turns[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(rc > 0, -pr * np.log2(np.where(pr > 0, pr, 1.0)),
-                             0.0)
-        out = g[["conv_id", "window_start"]].copy()
-        out["n_turns"] = n_turns
-        for i, name in enumerate(["n_user", "n_assistant", "n_system",
-                                  "n_tool", "n_other"]):
-            out[name] = rc[:, i]
-        out["sys_asst_share"] = share
-        out["sys_asst_skew"] = skew_gc
-        out["user_tool_skew"] = skew_at
-        out["masked_share"] = g["n_masked"].to_numpy() / n_turns
-        out["role_entropy"] = terms.sum(axis=1)
-        return out
+        rc = g[[f"n_{r}" for r in ROLE_ORDER]].to_numpy(dtype=np.int64)
+        return g[["conv_id", "window_start"]].assign(
+            **role_stats(rc, g["n_masked"].to_numpy()))
 
-    return (part.map_batches(add_merge_bucket, batch_format="pandas")
-                .groupby("_mb").map_groups(merge, batch_format="pandas"))
+    return add_bucket(part, num_merge_buckets).groupby("bucket").map_groups(
+        merge, batch_format="pandas")
 
 
 def salted_session_stats(ds, gap_us: int, num_merge_buckets: int = 64,
                          profile: str = "full", ctw_depth: int = 6,
                          bigram: str = '"k', ctw_text: bool = False):
-    """FULL per-session stats with BOUNDED group size (round-2 VERDICT #4).
+    """Full per-session stats with BOUNDED group size (round-2 VERDICT #4).
 
-    ``salted_session_counts`` stitches (start, end, n_turns) intervals;
-    this generalises the stitch to full ``_WindowAcc`` partials: each
-    batch emits one pickled accumulator per (conv, batch-local
-    gap-maximal run) — role/char/k-gram histograms, bigram count and the
-    (ts, uid, role) sequence for CTW — and the reduce stitches intervals
-    whose inter-gap <= gap by MERGING accumulators (all state is additive
-    integer counts plus a sequence that is re-sorted at finalize, so the
-    merge is bit-identical to single-pass accumulation). The shuffle
-    moves only accumulator state — histograms + 17 B/turn of (ts, uid,
-    role) — never text, so a hot conversation costs a stitch task its
-    compressed state, not 1/num_buckets of the raw corpus.
+    The session intervals come from ``salted_session_counts``, which
+    reads timestamps only; the table is collected and broadcast. Each
+    turn finds its session by a backward as-of lookup on its
+    conversation's session starts, and the turns are sorted on a hash of
+    (conv_id, session_start) into ``num_merge_buckets`` groups, so a hot
+    conversation's sessions spread across groups. ``stats_by_group``
+    then computes every session's stats in ``BucketWindowStats`` calls
+    (``profile``, ``ctw_depth``, ``bigram`` and ``ctw_text`` as in
+    ``window_stats``).
 
     Output rows are identical to the stateful engine's session rows
     (``StreamEngine`` kind="session" — pytest equality gate on a hot-key
     corpus).
     """
-    import pickle
+    import ray
 
-    from ..state.engine import (WindowConfig, _WindowAcc, _ASCII_UP,
-                                _merge_counts, _text_stats, emitted_to_frame)
-    from ..windows import session_ids
+    iv = salted_session_counts(ds.select_columns(["conv_id", "ts"]), gap_us,
+                               num_merge_buckets).to_pandas()
+    ref = ray.put(iv.reindex(columns=["conv_id", "session_start",
+                                      "session_end"])
+                  .sort_values("session_start", kind="stable"))
 
-    cfg = WindowConfig(kind="session", gap_us=gap_us, profile=profile,
-                       ctw_depth=ctw_depth, bigram=bigram, ctw_text=ctw_text)
+    def assign(t: pa.Table) -> pa.Table:
+        turns = pd.DataFrame({
+            "conv_id": t["conv_id"].to_numpy(zero_copy_only=False),
+            "ts": _int64_us(t["ts"]).astype("datetime64[us]"),
+            "row": np.arange(t.num_rows)})
+        hit = pd.merge_asof(turns.sort_values("ts", kind="stable"),
+                            ray.get(ref), left_on="ts",
+                            right_on="session_start", by="conv_id") \
+            .sort_values("row")
+        start = pa.array(hit["session_start"].to_numpy())
+        key = pc.binary_join_element_wise(
+            pc.cast(t["conv_id"], pa.string()), pc.cast(start, pa.string()),
+            "\x00").combine_chunks().dictionary_encode()
+        mb = stable_bucket_of(key.dictionary.to_numpy(zero_copy_only=False),
+                              num_merge_buckets)[key.indices.to_numpy()]
+        return t.append_column("window_start", start) \
+            .append_column("window_end",
+                           pa.array(hit["session_end"].to_numpy())) \
+            .append_column("_mb", pa.array(mb))
 
-    def partials(t: pa.Table) -> pd.DataFrame:
-        n = len(t)
-        cols = t.column_names
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
-        uid = (t["turn_uid"].to_numpy() if "turn_uid" in cols
-               else t["turn_idx"].to_numpy() if "turn_idx" in cols
-               else np.arange(n))
-        role = (t["role"].to_numpy(zero_copy_only=False) if "role" in cols
-                else np.full(n, "user", dtype=object))
-        text = (t["text"].to_numpy(zero_copy_only=False) if "text" in cols
-                else np.full(n, "", dtype=object))
-        tool = (t["tool"].to_numpy(zero_copy_only=False) if "tool" in cols
-                else np.full(n, "", dtype=object))
-        order = np.lexsort((uid, ts, conv))
-        conv, ts, uid = conv[order], ts[order], uid[order]
-        role, text, tool = role[order], text[order], tool[order]
-        cid, cu = pd.factorize(conv)
-        starts = np.searchsorted(cid, np.arange(len(cu)))
-        stops = np.searchsorted(cid, np.arange(len(cu)), side="right")
-        want_stats = cfg.profile != "counts"
-        rows = {"conv_id": [], "start": [], "end": [], "state": []}
-        for ci in range(len(cu)):
-            lo, hi = starts[ci], stops[ci]
-            sub = ts[lo:hi]
-            sid = session_ids(sub, gap_us)
-            nloc = sid[-1] + 1 if len(sid) else 0
-            first = np.searchsorted(sid, np.arange(nloc))
-            last = np.searchsorted(sid, np.arange(nloc), side="right")
-            for s in range(nloc):
-                acc = _WindowAcc()
-                for i in range(lo + first[s], lo + last[s]):
-                    txt = str(text[i]) if text[i] is not None else ""
-                    rl = str(role[i]) if role[i] is not None else "user"
-                    stats = (_text_stats(txt, txt.translate(_ASCII_UP),
-                                         cfg.bigram) if want_stats else None)
-                    acc.add(int(ts[i]), int(uid[i]), rl, txt,
-                            str(tool[i]) if tool[i] is not None else "",
-                            cfg, stats)
-                rows["conv_id"].append(cu[ci])
-                rows["start"].append(int(sub[first[s]]))
-                rows["end"].append(int(sub[last[s] - 1]))
-                rows["state"].append(pickle.dumps(acc, protocol=5))
-        return pd.DataFrame(rows)
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"conv_id": t["conv_id"], "session_start": t["window_start"],
+             "session_end": t["window_end"],
+             **{c: t[c] for c in STATS_COLUMNS[4:]}})
 
-    part = ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-    def add_mb(df: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-        df = df.copy()
-        df["_mb"] = [zlib.crc32(c.encode()) % num_merge_buckets
-                     for c in df["conv_id"]]
-        return df
-
-    def stitch(df: pd.DataFrame) -> pd.DataFrame:
-        emitted: list[dict] = []
-
-        def emit(conv, cur):
-            row = cur[2].finalize(conv, cur[0], cur[1], cfg)
-            row["session_start"] = row.pop("window_start")
-            row["session_end"] = row.pop("window_end")
-            del row["last_ts"]
-            emitted.append(row)
-
-        for conv, g in df.groupby("conv_id", sort=True):
-            g = g.sort_values(["start", "end"])
-            cur = None
-            for r in g.itertuples():
-                acc = pickle.loads(r.state)
-                if cur is None:
-                    cur = [r.start, r.end, acc]
-                elif r.start - cur[1] <= gap_us:
-                    cur[1] = max(cur[1], r.end)
-                    merge_window_acc(cur[2], acc)
-                else:
-                    emit(conv, cur)
-                    cur = [r.start, r.end, acc]
-            if cur is not None:
-                emit(conv, cur)
-        return emitted_to_frame(emitted, "session")
-
-    return (part.map_batches(add_mb, batch_format="pandas")
-                .groupby("_mb").map_groups(stitch, batch_format="pandas"))
+    inst = BucketWindowStats(profile=profile, ctw_depth=ctw_depth,
+                             bigram=bigram, ctw_text=ctw_text)
+    return stats_by_group(ds.map_batches(assign, batch_format="pyarrow",
+                                         zero_copy_batch=True), "_mb", inst) \
+        .map_batches(finish, batch_format="pyarrow")
 
 
 def salted_session_counts(ds, gap_us: int, num_merge_buckets: int = 64):
@@ -293,68 +161,34 @@ def salted_session_counts(ds, gap_us: int, num_merge_buckets: int = 64):
     Output: (conv_id, session_start, session_end, n_turns) — identical to
     stages.sessions.session_stats (pytest gate on a hot-key corpus).
     """
-    from ..windows import session_ids
-
     def partial_sessions(t: pa.Table) -> pd.DataFrame:
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
-        order = np.lexsort((ts, conv))
-        conv, ts = conv[order], ts[order]
-        cid, cu = pd.factorize(conv)
-        rows = {"conv_id": [], "session_start": [], "session_end": [],
-                "n_turns": []}
-        starts = np.searchsorted(cid, np.arange(len(cu)))
-        stops = np.searchsorted(cid, np.arange(len(cu)), side="right")
-        for ci in range(len(cu)):
-            sub = ts[starts[ci]:stops[ci]]
-            sid = session_ids(sub, gap_us)
-            n = sid[-1] + 1 if len(sid) else 0
-            first = np.searchsorted(sid, np.arange(n))
-            last = np.searchsorted(sid, np.arange(n), side="right") - 1
-            for s in range(n):
-                rows["conv_id"].append(cu[ci])
-                rows["session_start"].append(sub[first[s]])
-                rows["session_end"].append(sub[last[s]])
-                rows["n_turns"].append(int(last[s] - first[s] + 1))
-        return pd.DataFrame(rows)
+        t, ts, first, last, _ = session_bounds(t.select(["conv_id", "ts"]),
+                                               gap_us)
+        return pd.DataFrame({
+            "conv_id": t["conv_id"].take(pa.array(first))
+            .to_numpy(zero_copy_only=False),
+            "session_start": ts[first], "session_end": ts[last],
+            "n_turns": last - first + 1})
+
+    def stitch(df: pd.DataFrame) -> pd.DataFrame:
+        # a session ends where the next interval of its conversation
+        # starts more than gap_us after the furthest end seen so far
+        df = df.sort_values(["conv_id", "session_start"], kind="stable")
+        conv = df["conv_id"].to_numpy()
+        start = df["session_start"].to_numpy()
+        reach = df.groupby("conv_id", sort=False)["session_end"] \
+            .cummax().to_numpy()
+        new = np.ones(len(df), dtype=bool)
+        new[1:] = (conv[1:] != conv[:-1]) | (start[1:] - reach[:-1] > gap_us)
+        first = np.flatnonzero(new)
+        last = np.r_[first[1:], len(df)] - 1
+        return pd.DataFrame({
+            "conv_id": conv[first],
+            "session_start": start[first].astype("datetime64[us]"),
+            "session_end": reach[last].astype("datetime64[us]"),
+            "n_turns": np.add.reduceat(df["n_turns"].to_numpy(), first)})
 
     part = ds.map_batches(partial_sessions, batch_format="pyarrow",
                           zero_copy_batch=True)
-
-    def add_mb(df: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-        df = df.copy()
-        df["_mb"] = [zlib.crc32(c.encode()) % num_merge_buckets
-                     for c in df["conv_id"]]
-        return df
-
-    def stitch(df: pd.DataFrame) -> pd.DataFrame:
-        outs = {"conv_id": [], "session_start": [], "session_end": [],
-                "n_turns": []}
-        for conv, g in df.groupby("conv_id", sort=True):
-            g = g.sort_values("session_start")
-            cur = None
-            for r in g.itertuples():
-                if cur is None:
-                    cur = [r.session_start, r.session_end, r.n_turns]
-                elif r.session_start - cur[1] <= gap_us:
-                    cur[1] = max(cur[1], r.session_end)
-                    cur[2] += r.n_turns
-                else:
-                    outs["conv_id"].append(conv)
-                    outs["session_start"].append(cur[0])
-                    outs["session_end"].append(cur[1])
-                    outs["n_turns"].append(cur[2])
-                    cur = [r.session_start, r.session_end, r.n_turns]
-            if cur is not None:
-                outs["conv_id"].append(conv)
-                outs["session_start"].append(cur[0])
-                outs["session_end"].append(cur[1])
-                outs["n_turns"].append(cur[2])
-        out = pd.DataFrame(outs)
-        for c in ("session_start", "session_end"):
-            out[c] = out[c].astype("datetime64[us]")
-        return out
-
-    return (part.map_batches(add_mb, batch_format="pandas")
-                .groupby("_mb").map_groups(stitch, batch_format="pandas"))
+    return add_bucket(part, num_merge_buckets).groupby("bucket").map_groups(
+        stitch, batch_format="pandas")

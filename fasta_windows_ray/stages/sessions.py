@@ -3,48 +3,55 @@ counterpart (SURVEY.md §2.2 W4).
 
 A session groups consecutive turns of one conversation whose inter-turn
 gap is <= ``gap_us``; a strictly greater gap starts a new session.
-Assignment is state-dependent (needs the key's sorted timestamps), so it
-runs per hash bucket inside ``map_groups`` — same single-shuffle layout as
-window_stats. The stateful/watermark path computes identical sessions
-incrementally (state/engine.py); equality of the two is a pytest gate.
+Assignment needs the key's sorted timestamps, so it runs per chunk of
+whole hash buckets inside ``stats_by_group``: one sort and one
+``windows.session_ids`` call assign every row of the chunk its
+session's first and last ts, and ``BucketWindowStats`` computes the
+stats of every session at once. The stateful/watermark path computes
+identical sessions incrementally (state/engine.py); equality of the two
+is a pytest gate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 from ..windows import session_ids
-from .window_stats import add_bucket
+from .window_stats import (BucketWindowStats, _codes, _int64_us, add_bucket,
+                           stats_by_group)
+
+
+def session_bounds(t: pa.Table, gap_us: int):
+    """``t`` sorted by (conv_id, ts), with the row ranges of its sessions:
+    returns (sorted table, its ts as int64 us, first row of each session,
+    last row of each session, session ordinal of each row)."""
+    t = t.sort_by([("conv_id", "ascending"), ("ts", "ascending")])
+    ts = _int64_us(t["ts"])
+    sid = session_ids(ts, gap_us, _codes(t["conv_id"]))
+    bounds = np.searchsorted(sid, np.arange(sid[-1] + 2 if len(sid) else 1))
+    return t, ts, bounds[:-1], bounds[1:] - 1, sid
+
+
+def assign_sessions(t: pa.Table, gap_us: int) -> pa.Table:
+    """``t`` sorted by (conv_id, ts), each row with its session's first
+    and last ts as ``window_start``/``window_end``."""
+    t, ts, first, last, sid = session_bounds(t, gap_us)
+    return t.append_column(
+        "window_start", pa.array(ts[first][sid]).cast(pa.timestamp("us"))) \
+        .append_column(
+        "window_end", pa.array(ts[last][sid]).cast(pa.timestamp("us")))
 
 
 def session_stats(ds, gap_us: int, num_buckets: int = 64):
     """Dataset of (conv_id, session_start, session_end, n_turns)."""
-    ds = add_bucket(ds, num_buckets)
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"conv_id": t["conv_id"],
+                         "session_start": t["window_start"],
+                         "session_end": t["window_end"],
+                         "n_turns": t["n_turns"]})
 
-    def bucket_sessions(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"conv_id": [], "session_start": [],
-                                 "session_end": [], "n_turns": []})
-        order = ["conv_id", "ts"] + (["turn_uid"] if "turn_uid" in df else [])
-        df = df.sort_values(order, kind="stable").reset_index(drop=True)
-        out = []
-        for cid, g in df.groupby("conv_id", sort=True):
-            ts = g["ts"].astype("int64").to_numpy()
-            sid = session_ids(ts, gap_us)
-            n = sid[-1] + 1
-            counts = np.bincount(sid, minlength=n)
-            # first/last per session: ts is sorted, sessions contiguous
-            first_idx = np.searchsorted(sid, np.arange(n))
-            last_idx = np.searchsorted(sid, np.arange(n), side="right") - 1
-            starts, ends = ts[first_idx], ts[last_idx]
-            out.append(pd.DataFrame({
-                "conv_id": cid,
-                "session_start": starts.astype("datetime64[us]"),
-                "session_end": ends.astype("datetime64[us]"),
-                "n_turns": counts.astype(np.int64),
-            }))
-        return pd.concat(out, ignore_index=True)
-
-    return ds.groupby("bucket").map_groups(bucket_sessions,
-                                           batch_format="pandas")
+    return stats_by_group(add_bucket(ds, num_buckets), "bucket",
+                          BucketWindowStats(profile="counts"),
+                          lambda t: assign_sessions(t, gap_us)) \
+        .map_batches(finish, batch_format="pyarrow")

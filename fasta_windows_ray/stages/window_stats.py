@@ -16,25 +16,30 @@ without its per-group task call: each sorted block holds whole groups,
 and one ``BucketWindowStats`` call takes as many consecutive groups as
 fit a character budget. Window assignment (including the sliding
 fan-out) and all stats run there, vectorized over every window of the
-call; the text histograms of k = 1..4 come from one sort, and only CTW
-(order-dependent, kmeru8.rs:170-319) works per window, memoized.
+call; the text histograms of k = 1..4 come from one sort, and CTW
+(order-dependent, kmeru8.rs:170-319) takes one ``ctw_batch`` call over
+the call's distinct window symbol strings.
+
+Every batch window kind runs through ``stats_by_group``: session and
+count windows (``stages/sessions.py``, ``turn_window_counts``) and the
+hot-key session path (``stages/salted.py``) only add an assigner that
+gives each row of a chunk its ``window_start``/``window_end``.
 
 Skew note (100 TB design): a group is bounded by ``num_buckets`` and the
-slab length; hot conversations are handled by the salted pre-aggregation
-path in ``stages/salted.py`` (histogram stats are mergeable; CTW is
-computed post-merge from ordered turns).
+slab length; hot conversations are handled by ``stages/salted.py``
+(salted partial counts, and sessions found from timestamps alone before
+the rows are spread by session).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..windows import sliding_starts_expand, tumbling_start
+from ..windows import (count_window_bounds, sliding_starts_expand,
+                       tumbling_start)
 
 US = 1_000_000
 
@@ -296,6 +301,15 @@ def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
     return cp, pc.utf8_length(arr).to_numpy().astype(np.int64)
 
 
+def _codes(col) -> np.ndarray:
+    """int64 code per value of a column; equal values get equal codes."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.cast(arr.type.value_type)
+    return arr.dictionary_encode().indices.to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
 def _strings(col, fill: str) -> pa.Array:
     """One string array with nulls replaced by ``fill``."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -334,35 +348,38 @@ def _segment_entropy(codes: np.ndarray, weights: np.ndarray, n_groups: int,
     return np.bincount(codes, weights=terms, minlength=n_groups)
 
 
-_CTW_MEMOS: dict = {}
-
-
-def _ctw_memo(key) -> dict:
-    """Process-global CTW memo dict for a given (kind, depth) config."""
-    memo = _CTW_MEMOS.get(key)
-    if memo is None:
-        memo = _CTW_MEMOS[key] = {}
-    return memo
-
-
-def _ctw_memoized(memo_key, cap: int, keys: list, depth: int) -> np.ndarray:
+def _ctw_distinct(keys: list, depth: int) -> np.ndarray:
     """CTW bits/symbol of each symbol string in ``keys`` (bytes of 0..3,
-    255 = flush), from the process-global memo; all misses are computed
-    in one ``ctw_batch`` call and stored until the memo holds ``cap``."""
+    255 = flush); each distinct string is computed once, all in one
+    ``ctw_batch`` call."""
     from .. import kernels as K
 
-    cache = _ctw_memo(memo_key)
-    miss = list(dict.fromkeys(k for k in keys if k not in cache))
-    fresh: dict = {}
-    if miss:
-        offsets = np.cumsum([0] + [len(k) for k in miss])
-        fresh = dict(zip(miss, K.ctw_batch(
-            np.frombuffer(b"".join(miss), dtype=np.uint8), offsets,
-            depth).tolist()))
-        cache.update(itertools.islice(fresh.items(),
-                                      max(cap - len(cache), 0)))
-    return np.asarray([cache[k] if k in cache else fresh[k] for k in keys],
-                      dtype=np.float64)
+    codes, uniq = pd.factorize(pd.Series(keys, dtype=object))
+    offsets = np.cumsum([0] + [len(k) for k in uniq])
+    return K.ctw_batch(np.frombuffer(b"".join(uniq), dtype=np.uint8),
+                       offsets, depth)[codes]
+
+
+def role_stats(role_counts: np.ndarray, masked: np.ndarray) -> dict:
+    """n_turns, the per-role counts, skews, masked share and role entropy
+    of (G, 5) role counts in ``ROLE_ORDER`` and G masked-turn counts."""
+    n_turns = role_counts.sum(axis=1)
+    a, c, g, t = (role_counts[:, i].astype(np.float64) for i in range(4))
+    out = {"n_turns": n_turns, **{f"n_{r}": role_counts[:, i]
+                                  for i, r in enumerate(ROLE_ORDER)}}
+    # role entropy: closed-form rows of the (G,5) histogram; per-row sum
+    # is sequential for 5 elements, +0.0 terms preserve bits, so this
+    # equals the kernels' ascending-index loop exactly
+    pr = role_counts.astype(np.float64) / n_turns[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out["sys_asst_share"] = (g + c) / (g + c + a + t)
+        out["sys_asst_skew"] = (g - c) / (g + c)
+        out["user_tool_skew"] = (a - t) / (a + t)
+        terms = np.where(role_counts > 0,
+                         -pr * np.log2(np.where(pr > 0, pr, 1.0)), 0.0)
+    out["masked_share"] = masked / n_turns.astype(np.float64)
+    out["role_entropy"] = terms.sum(axis=1)
+    return out
 
 
 _TEXT_STATS = ("char_entropy", "bigram_diversity", "trigram_diversity",
@@ -408,12 +425,6 @@ class BucketWindowStats:
         self.out_columns = STATS_COLUMNS + (
             ["kgram_freq_k2", "kgram_freq_k3", "kgram_freq_k4"]
             if kgram_freqs else [])
-        # CTW memos are PROCESS-GLOBAL, fetched at call time via
-        # _ctw_memo(): Ray pickles a fresh copy of this callable into
-        # every map task, so any instance-held dict restarts cold each
-        # task — the worker-side module-level memo persists across tasks
-        # within a reused worker process. Bounded; depth-keyed so configs
-        # never cross-contaminate.
 
     def _schema(self, conv_type: pa.DataType) -> pa.Schema:
         """Output schema; ``conv_id`` keeps the input's type."""
@@ -430,7 +441,11 @@ class BucketWindowStats:
 
     def table(self, t: pa.Table) -> pa.Table:
         """One stats row per (conv_id, window) of ``t``'s turns; every
-        group in ``t`` must be whole."""
+        group in ``t`` must be whole.
+
+        With ``step_us`` unset, a ``window_start`` column assigns each
+        row its window, and a ``window_end`` column, if present, gives
+        the window's end (else start + ``window_size_us``)."""
         names = t.column_names
         conv = (t["conv_id"].combine_chunks() if "conv_id" in names
                 else pa.array([], pa.string()))
@@ -461,7 +476,8 @@ class BucketWindowStats:
         # behind each emitted (row, window) membership pair ----
         size = self.window_size_us or 0
         step = self.step_us
-        if step is None and "window_start" in names:
+        explicit = step is None and "window_start" in names
+        if explicit:
             rows = np.arange(n_raw)
             ws_e = _int64_us(t["window_start"])
         elif step is None or step == size:
@@ -494,16 +510,17 @@ class BucketWindowStats:
         ukey, codes = np.unique(cg_raw[rows] * K1 + ws_inv,
                                 return_inverse=True)
         G = len(ukey)
-        n_turns = np.bincount(codes, minlength=G).astype(np.int64)
 
-        out: dict = {
-            "conv_id": conv.dictionary.take(
-                pa.array(cg_conv[ukey // K1], pa.int64())),
-            "n_turns": n_turns,
-        }
+        out: dict = {"conv_id": conv.dictionary.take(
+            pa.array(cg_conv[ukey // K1], pa.int64()))}
         out_ws = ws_uniq.take(ukey % K1)
         out["window_start"] = out_ws.astype("datetime64[us]")
-        out["window_end"] = (out_ws + size).astype("datetime64[us]")
+        if explicit and "window_end" in names:
+            out_we = np.empty(G, dtype=np.int64)
+            out_we[codes] = _int64_us(t["window_end"])
+        else:
+            out_we = out_ws + size
+        out["window_end"] = out_we.astype("datetime64[us]")
         # last event actually inside the window: the event-time analogue of
         # the reference's end-clamp (fw.rs:130-144) — for the trailing
         # partial window, last_ts < window_end (issue #8/#9 conformance)
@@ -518,16 +535,6 @@ class BucketWindowStats:
         role5_e = role5_raw[rows]
         role_counts = np.bincount(codes * 5 + role5_e,
                                   minlength=G * 5).reshape(G, 5)
-        a, c, g, t_ = (role_counts[:, i].astype(np.float64) for i in range(4))
-        out.update({
-            "n_user": role_counts[:, 0], "n_assistant": role_counts[:, 1],
-            "n_system": role_counts[:, 2], "n_tool": role_counts[:, 3],
-            "n_other": role_counts[:, 4],
-        })
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out["sys_asst_share"] = (g + c) / (g + c + a + t_)
-            out["sys_asst_skew"] = (g - c) / (g + c)
-            out["user_tool_skew"] = (a - t_) / (a + t_)
         if "tool" in names:
             # null tool is NOT masked (engine convention: null -> "")
             has_tool = pc.not_equal(_strings(t["tool"], ""), "") \
@@ -535,15 +542,7 @@ class BucketWindowStats:
             masked = np.bincount(codes, weights=has_tool[rows], minlength=G)
         else:
             masked = np.zeros(G)
-        out["masked_share"] = masked / n_turns.astype(np.float64)
-        # role entropy: closed-form rows of the (G,5) histogram; per-row sum
-        # is sequential for 5 elements, +0.0 terms preserve bits, so this
-        # equals the kernels' ascending-index loop exactly
-        pr = role_counts.astype(np.float64) / n_turns[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(role_counts > 0,
-                             -pr * np.log2(np.where(pr > 0, pr, 1.0)), 0.0)
-        out["role_entropy"] = terms.sum(axis=1)
+        out.update(role_stats(role_counts, masked))
 
         zeros = np.zeros(G, dtype=np.float64)
         if self.profile == "counts" or "text" not in names:
@@ -728,11 +727,15 @@ class BucketWindowStats:
         return np.bincount(codes, weights=big_raw[rows], minlength=G) / denom
 
     def _finish_ctw(self, out, G, t, rows, ts_e, codes, role5_e):
-        # ---- order-dependent per-window kernels (CTW), memoized ----
+        # ---- order-dependent per-window kernels (CTW) ----
         from .. import kernels as K
 
         need_ctw = self.profile in ("full", "fast") and self.ctw_depth >= 0
-        uid_raw = (t["turn_uid"].to_numpy() if "turn_uid" in t.column_names
+        # turns of one window in (ts, turn_uid | turn_idx, row) order, the
+        # stream engine's order
+        uid_col = next((c for c in ("turn_uid", "turn_idx")
+                        if c in t.column_names), None)
+        uid_raw = (t[uid_col].to_numpy() if uid_col
                    else np.arange(t.num_rows))
         if need_ctw or self.ctw_text or self.kgram_freqs:
             order = np.lexsort((uid_raw[rows], ts_e, codes))
@@ -741,8 +744,7 @@ class BucketWindowStats:
             stop = np.searchsorted(codes_s, np.arange(G), side="right")
         if need_ctw:
             sym_arr = np.where(role5_e < 4, role5_e, 255)[order].astype(np.uint8)
-            out["ctw_roles_bpb"] = _ctw_memoized(
-                ("roles", self.ctw_depth), 2_000_000,
+            out["ctw_roles_bpb"] = _ctw_distinct(
                 [sym_arr[start[gi]:stop[gi]].tobytes() for gi in range(G)],
                 self.ctw_depth)
         else:
@@ -753,8 +755,7 @@ class BucketWindowStats:
         if self.ctw_text:
             texts_raw = _strings(t["text"], "").to_pylist()
             raw_s = rows[order]
-            out["ctw_text_bpb"] = _ctw_memoized(
-                ("text", self.ctw_depth), 1_000_000,
+            out["ctw_text_bpb"] = _ctw_distinct(
                 [K.text_class_symbols(
                     "".join(texts_raw[q] for q in raw_s[start[gi]:stop[gi]]))
                  for gi in range(G)],
@@ -795,57 +796,32 @@ class BucketWindowStats:
 def turn_window_counts(ds, w_turns: int, num_buckets: int = 64):
     """Windows over TURN POSITION — the direct reference analogue
     (fw.rs:83 ``seq.chunks(window_size)``): per conversation, tumbling
-    chunks of ``w_turns`` turns ordered by (ts, turn_uid); the trailing
-    partial chunk is emitted with its true clamped end
+    chunks of ``w_turns`` turns ordered by (ts, turn_uid, turn_idx); the
+    trailing partial chunk is emitted with its true clamped end
     (fw.rs:73-79,130-144 — issues #8/#9).
 
     Output: conv_id, win_start, win_end (int turn offsets; win_end ==
     min(win_start + w, conv_len)), n_turns, per-role counts.
     """
-    ds = add_bucket(ds, num_buckets)
+    def assign(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in ("conv_id", "ts",
+                                                   "turn_uid", "turn_idx")
+                       if c in t.column_names])
+        start, end = count_window_bounds(_codes(t["conv_id"]), w_turns)
+        return t.append_column("window_start", pa.array(start)) \
+            .append_column("window_end", pa.array(end))
 
-    def bucket_turn_windows(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: [] for c in
-                                 ("conv_id", "win_start", "win_end",
-                                  "n_turns", "n_user", "n_assistant",
-                                  "n_system", "n_tool", "n_other")})
-        order = ["conv_id", "ts"] + [c for c in ("turn_uid", "turn_idx")
-                                     if c in df.columns]
-        df = df.sort_values(order, kind="stable").reset_index(drop=True)
-        cid, cu = pd.factorize(df["conv_id"].to_numpy(dtype=object))
-        # rank within conversation (cid blocks are contiguous post-sort)
-        starts = np.searchsorted(cid, np.arange(len(cu)))
-        rank = np.arange(len(df)) - starts[cid]
-        conv_len = np.bincount(cid)
-        wstart = rank // w_turns * w_turns
-        key = cid.astype(np.int64) * (rank.max() + 1) + wstart
-        uk, codes = np.unique(key, return_inverse=True)
-        G = len(uk)
-        ucid = (uk // (rank.max() + 1)).astype(np.int64)
-        uws = (uk % (rank.max() + 1)).astype(np.int64)
-        if "role" in df.columns:
-            # vectorized role -> index (None -> 0, unknown -> 4 "other";
-            # Categorical codes are -1 for BOTH, so split on isna)
-            codes_r = pd.Categorical(
-                df["role"], categories=ROLE_ORDER).codes.astype(np.int64)
-            role_idx = np.where(
-                codes_r >= 0, codes_r,
-                np.where(df["role"].isna().to_numpy(), 0, 4))
-        else:
-            role_idx = np.zeros(len(df), dtype=np.int64)
-        rc = np.bincount(codes * 5 + role_idx, minlength=G * 5).reshape(G, 5)
-        return pd.DataFrame({
-            "conv_id": np.asarray(cu, dtype=object).take(ucid),
-            "win_start": uws,
-            "win_end": np.minimum(uws + w_turns, conv_len[ucid]),
-            "n_turns": np.bincount(codes, minlength=G).astype(np.int64),
-            "n_user": rc[:, 0], "n_assistant": rc[:, 1],
-            "n_system": rc[:, 2], "n_tool": rc[:, 3], "n_other": rc[:, 4],
-        })
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "conv_id": t["conv_id"],
+            "win_start": t["window_start"].cast(pa.int64()),
+            "win_end": t["window_end"].cast(pa.int64()),
+            **{c: t[c] for c in ("n_turns", "n_user", "n_assistant",
+                                 "n_system", "n_tool", "n_other")}})
 
-    return ds.groupby("bucket").map_groups(bucket_turn_windows,
-                                           batch_format="pandas")
+    return stats_by_group(add_bucket(ds, num_buckets), "bucket",
+                          BucketWindowStats(profile="counts"), assign) \
+        .map_batches(finish, batch_format="pyarrow")
 
 
 def _group_chunks(keys: np.ndarray, cost: np.ndarray,
@@ -867,6 +843,36 @@ def _group_chunks(keys: np.ndarray, cost: np.ndarray,
     return out
 
 
+def stats_by_group(ds, group_key: str, inst: BucketWindowStats,
+                   assign=None):
+    """``inst``'s window stats of every group of ``ds`` by ``group_key``.
+
+    ``sort(group_key)`` is the one shuffle and puts every group whole
+    into one block; ``map_batches(batch_size=None)`` cuts each block into
+    runs of whole groups of about ``_CHUNK_CHARS`` characters (a larger
+    group runs alone), and one ``inst.table`` call computes each run.
+    ``assign``, if given, maps each run to the table ``inst`` reads,
+    e.g. by adding ``window_start``/``window_end`` columns.
+    """
+    budget = _CHUNK_CHARS
+    prep = assign or (lambda t: t)
+
+    def bucket_window_stats(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return inst.table(block)
+        cost = np.ones(block.num_rows, dtype=np.int64)
+        if "text" in block.column_names:
+            cost += pc.binary_length(_strings(block["text"], "")) \
+                .to_numpy().astype(np.int64)
+        return pa.concat_tables([
+            inst.table(prep(block.slice(a, b - a))) for a, b in _group_chunks(
+                block[group_key].to_numpy(), cost, budget)])
+
+    return ds.sort(group_key).map_batches(
+        bucket_window_stats, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True)
+
+
 def window_stats(ds, size_us: int, step_us: int | None = None,
                  offset_us: int = 0, profile: str = "full",
                  num_buckets: int = 64, ctw_depth: int = 6,
@@ -879,13 +885,9 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
     (size % step == 0). Returns a Dataset with STATS_COLUMNS (plus the
     ``kgram_freq_k*`` list columns with ``kgram_freqs``), as Arrow blocks.
 
-    Shape: ``sort`` on the (conv_id hash bucket × time slab) key is the
-    ONE shuffle and puts every group whole into one block; then
-    ``map_batches(batch_size=None)`` cuts each block into runs of whole
-    groups of about ``_CHUNK_CHARS`` characters (a larger group runs
-    alone) and computes each run with one ``BucketWindowStats`` call.
-    Window assignment (incl. the sliding fan-out) and all stat
-    computation happen there, vectorized.
+    Shape: ``stats_by_group`` over the (conv_id hash bucket × time slab)
+    key. Window assignment (incl. the sliding fan-out) and all stat
+    computation happen in its ``BucketWindowStats`` calls, vectorized.
 
     ``slab_windows``: windows per time slab of the composite grouping
     key. Bounds group size by (rows per slab / num_buckets) instead of
@@ -906,20 +908,4 @@ def window_stats(ds, size_us: int, step_us: int | None = None,
                              step_us=step_us or size_us, offset_us=offset_us,
                              ctw_text=ctw_text, slab_l_us=slab_l,
                              kgram_freqs=kgram_freqs)
-
-    budget = _CHUNK_CHARS
-
-    def bucket_window_stats(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return inst.table(block)
-        cost = np.ones(block.num_rows, dtype=np.int64)
-        if "text" in block.column_names:
-            cost += pc.binary_length(_strings(block["text"], "")) \
-                .to_numpy().astype(np.int64)
-        return pa.concat_tables([
-            inst.table(block.slice(a, b - a)) for a, b in _group_chunks(
-                block[group_key].to_numpy(), cost, budget)])
-
-    return ds.sort(group_key).map_batches(
-        bucket_window_stats, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True)
+    return stats_by_group(ds, group_key, inst)

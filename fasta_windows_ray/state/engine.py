@@ -230,22 +230,6 @@ class _BoundedKgrams:
             if self.hh[g] <= 0:
                 del self.hh[g]
 
-    def merge_sketch(self, other: "_BoundedKgrams") -> None:
-        """Merge another sketch (same fixed depth/width/hash seeds, so
-        CMS arrays are addable); heavy-hitter tables combine then trim
-        Misra-Gries-style (subtract the (cap+1)-th count) to stay
-        bounded. Used by the salted session interval-stitch when both
-        partials spilled."""
-        self.total += other.total
-        self.cms += other.cms
-        hh = self.hh
-        for g, c in other.hh.items():
-            hh[g] = hh.get(g, 0) + c
-        cap = self.cap // 16
-        if len(hh) > cap:
-            thresh = sorted(hh.values(), reverse=True)[cap]
-            self.hh = {g: c - thresh for g, c in hh.items() if c > thresh}
-
     def entropy(self) -> float:
         # approximate: heavy hitters exact-ish, tail mass as one symbol
         n = self.total
@@ -671,7 +655,7 @@ class StreamEngine:
         deferred session close would need per-row buffering until
         last_ts + gap passes the watermark, a different memory contract;
         disordered streams should route through the sorted replay or the
-        salted batch session path (stages/salted.py)."""
+        batch session paths (stages/sessions.py, stages/salted.py)."""
         st = self.sessions.get(conv)
         if st is not None and ts - st[1] > self.cfg.gap_us:
             out.append(self._session_row(conv, st))

@@ -59,8 +59,13 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
     """Dataset path: (bucket × time-slab) shuffle → per-group stream
     replay. The slab component bounds per-task group size for tumbling/
     sliding (see add_bucket_slab); session windows have no fixed span, so
-    they group by bucket only (the hot-key scale path for sessions is the
-    salted interval stitch in stages/salted.py)."""
+    they group by bucket only.
+
+    The batch window kinds (``window_stats``, ``session_stats``,
+    ``turn_window_counts``, ``salted_session_stats``) compute their stats
+    with ``BucketWindowStats``; this replay runs the stream engine
+    instead, and is what the parity tests hold the engine to the batch
+    path with."""
     slabbed = cfg.kind in ("tumbling", "sliding") and bool(slab_windows)
     if slabbed:
         ds, slab_l = add_bucket_slab(

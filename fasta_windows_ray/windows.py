@@ -10,8 +10,9 @@ to the record — fw.rs:73-79,130-144, issues #8/#9). We generalise to:
   counterpart.
 
 All assignment for tumbling/sliding is a pure per-row function (so it runs
-inside ``map_batches`` with no state); session windows need per-key sorted
-state and live in the stateful path / map_groups.
+inside ``map_batches`` with no state). Session and count windows need each
+key's rows in order: their assigners take a block of whole keys sorted by
+(key, ts) and assign every row of it in one call.
 """
 
 from __future__ import annotations
@@ -52,19 +53,41 @@ def sliding_starts_expand(x: np.ndarray, size: int, step: int,
     return rows[keep].ravel(), starts[keep].ravel()
 
 
-def session_ids(ts_sorted: np.ndarray, gap: int) -> np.ndarray:
-    """Session index per row for ONE key's time-sorted timestamps.
+def session_ids(ts_sorted: np.ndarray, gap: int,
+                key: np.ndarray | None = None) -> np.ndarray:
+    """Session index per row of time-sorted timestamps.
 
     New session when the gap to the previous row exceeds ``gap``
-    (strictly greater). Returns int64 session ordinals starting at 0.
+    (strictly greater) or, with ``key``, when the key changes: rows
+    sorted by (key, ts) get every key's sessions in one call. Returns
+    int64 session ordinals starting at 0.
     """
     ts_sorted = np.asarray(ts_sorted, dtype=np.int64)
     if len(ts_sorted) == 0:
         return np.zeros(0, dtype=np.int64)
     brk = np.empty(len(ts_sorted), dtype=np.int64)
     brk[0] = 0
-    brk[1:] = (np.diff(ts_sorted) > gap).astype(np.int64)
+    new = np.diff(ts_sorted) > gap
+    if key is not None:
+        new |= key[1:] != key[:-1]
+    brk[1:] = new
     return np.cumsum(brk)
+
+
+def count_window_bounds(key: np.ndarray,
+                        size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) turn offsets of each row's count window, for rows
+    sorted by key and then turn order: a row's window starts at its rank
+    within its key floored to a multiple of ``size``, and ends clamped to
+    the key's turn count (``turn_window_bounds``)."""
+    n = len(key)
+    new = np.ones(n, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    start = (np.arange(n) - first[run]) // size * size
+    return start, turn_window_bounds(start, size,
+                                     np.diff(np.r_[first, n])[run])
 
 
 def turn_window_bounds(starts: np.ndarray, size: int,

@@ -161,7 +161,7 @@ def test_entropy_fast_batch_equals_oracle(masked):
 
 @pytest.mark.parametrize("depth", [3, 24, -1])
 def test_window_stats_ctw_matches_stream_engine(depth):
-    """The batch job's CTW columns (memoised ``ctw_batch``) equal the
+    """The batch job's CTW columns (``ctw_batch``) equal the
     stream engine's scalar kernels at any depth the engine takes."""
     import pandas as pd
 
@@ -198,20 +198,48 @@ def test_window_stats_ctw_matches_stream_engine(depth):
                                    st[col].astype(float), rtol=0, atol=1e-12)
 
 
-def test_ctw_memo_stops_at_its_cap():
-    """Misses past the memo's cap are computed and returned, not stored."""
+def test_ctw_distinct_computes_each_string_once(monkeypatch):
+    """Repeated symbol strings of one call reach ``ctw_batch`` once, and
+    every window gets its own string's value back."""
     from fasta_windows_ray.stages import window_stats as W
 
-    key = ("memo-cap-test", 6)
-    W._CTW_MEMOS.pop(key, None)
     wins = [bytes([0, 1, 2, 3][:i]) + bytes([FLUSH, i % 4]) for i in range(5)]
-    try:
-        got = W._ctw_memoized(key, 3, wins + wins[:2], 6)
-        assert len(W._ctw_memo(key)) == 3
-        got2 = W._ctw_memoized(key, 3, wins, 6)
-        assert len(W._ctw_memo(key)) == 3
-    finally:
-        W._CTW_MEMOS.pop(key, None)
+    sizes = []
+    real = K.ctw_batch
+
+    def counting(buf, offsets, depth):
+        sizes.append(len(offsets) - 1)
+        return real(buf, offsets, depth)
+
+    monkeypatch.setattr(K, "ctw_batch", counting)
+    got = W._ctw_distinct(wins + wins[:2], 6)
+    assert sizes == [5]
     want = [_oracle(w, 6) for w in wins]
     np.testing.assert_allclose(got, want + want[:2], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got2, want, rtol=0, atol=1e-12)
+
+
+def test_ctw_equal_ts_turns_follow_turn_idx():
+    """Without ``turn_uid``, turns sharing one ts are ordered by
+    ``turn_idx``, as in the stream engine, not by row position: three
+    turns stored in turn_idx order 2, 0, 1."""
+    import pandas as pd
+
+    from fasta_windows_ray.stages.window_stats import BucketWindowStats
+    from fasta_windows_ray.state.engine import StreamEngine, WindowConfig, \
+        emitted_to_frame
+
+    S = 1_000_000
+    df = pd.DataFrame({
+        "conv_id": ["c"] * 3,
+        "turn_idx": np.array([2, 0, 1], dtype=np.int32),
+        "role": ["user", "assistant", "assistant"],
+        "text": ["a", "b", "c"], "tool": [""] * 3,
+        "ts": pd.to_datetime([60 * S] * 3, unit="us"),
+    })
+    vec = BucketWindowStats(profile="full", ctw_depth=3,
+                            window_size_us=3600 * S, step_us=3600 * S)(df)
+    eng = StreamEngine(WindowConfig(kind="tumbling", size_us=3600 * S,
+                                    ctw_depth=3))
+    st = emitted_to_frame(eng.process_rows(df) + eng.flush(), "tumbling")
+    assert round(st["ctw_roles_bpb"][0], 4) == 1.2103  # row order: 1.5594
+    assert abs(vec["ctw_roles_bpb"][0] - st["ctw_roles_bpb"][0]) <= 1e-12

@@ -69,3 +69,15 @@ def test_queries_and_oracles_share_keys():
     from fasta_windows_ray.pipelines.queries import (build_oracle_sql,
                                                      build_queries)
     assert build_queries().keys() == build_oracle_sql().keys()
+
+
+def test_stages_import_no_engine_privates():
+    """Batch stages use ``BucketWindowStats``; the stream engine's private
+    accumulators (``_WindowAcc`` and friends) stay the engine's own."""
+    problems = []
+    for path in sorted((ROOT / PKG / "stages").rglob("*.py")):
+        for line, mod, names in _imports(path):
+            private = [n for n in names if n.startswith("_")]
+            if mod == f"{PKG}.state.engine" and private:
+                problems.append(f"{path.relative_to(ROOT)}:{line}: {private}")
+    assert not problems, "\n".join(problems)

@@ -79,45 +79,21 @@ def test_session_ids_gap_invariant(ts, gap):
     assert ((brk == 1) == (d > gap)).all()
 
 
-@given(st.lists(st.tuples(st.integers(0, 10**6),      # ts
-                          st.integers(0, 3),           # role idx
-                          texts),                      # text
-                min_size=1, max_size=16),
-       st.lists(st.integers(1, 15), min_size=0, max_size=4))
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6)),
+                min_size=1, max_size=40),
+       st.integers(1, 10**5))
 @settings(max_examples=50, deadline=None)
-def test_window_acc_split_merge_equals_single_pass(rows, cuts):
-    """merge_window_acc invariant: accumulate rows in one pass vs in
-    arbitrary contiguous chunks then merge — identical finalize row
-    (the correctness core of the salted session interval-stitch)."""
-    from fasta_windows_ray.stages.salted import merge_window_acc
-    from fasta_windows_ray.state.engine import (WindowConfig, _WindowAcc,
-                                                _ASCII_UP, _text_stats)
-
-    roles = ["user", "assistant", "system", "tool"]
-    cfg = WindowConfig(kind="session", gap_us=10**9, profile="full",
-                       ctw_depth=3)
-    rows = sorted((ts, i, roles[r], t)
-                  for i, (ts, r, t) in enumerate(rows))
-
-    def feed(acc, chunk):
-        for ts, uid, role, txt in chunk:
-            stats = _text_stats(txt, txt.translate(_ASCII_UP), cfg.bigram)
-            acc.add(ts, uid, role, txt, "", cfg, stats)
-
-    one = _WindowAcc()
-    feed(one, rows)
-
-    bounds = sorted({min(c, len(rows)) for c in cuts} | {0, len(rows)})
-    merged = _WindowAcc()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = _WindowAcc()
-        feed(part, rows[lo:hi])
-        merge_window_acc(merged, part)
-
-    lo_ts, hi_ts = rows[0][0], rows[-1][0]
-    a = one.finalize("c", lo_ts, hi_ts, cfg)
-    b = merged.finalize("c", lo_ts, hi_ts, cfg)
-    assert a == b
+def test_session_ids_with_key_equals_per_key(rows, gap):
+    """One keyed call over (key, ts)-sorted rows gives each key the
+    sessions of its own call, numbered on from the previous key's."""
+    key, ts = (np.asarray(c) for c in zip(*sorted(rows)))
+    sid = session_ids(ts, gap, key)
+    want, base = [], 0
+    for k in np.unique(key):
+        s = session_ids(ts[key == k], gap) + base
+        want.extend(s.tolist())
+        base = s[-1] + 1
+    assert sid.tolist() == want
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=200),

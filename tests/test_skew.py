@@ -78,6 +78,34 @@ def test_salted_sessions_equal_plain(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
+def test_salted_sessions_stitch_interleaved_partials(ray_session):
+    """Rows shuffled across blocks: every block sees a sparse sample of
+    each conversation, so the batch-local intervals of different blocks
+    overlap and nest, and the stitch must join them by the furthest end
+    seen so far, not the previous interval's."""
+    import numpy as np
+    import ray.data as rd
+
+    from fasta_windows_ray.stages.salted import salted_session_counts
+    from fasta_windows_ray.stages.sessions import session_stats
+
+    import pyarrow as pa
+
+    rng = np.random.default_rng(0)
+    n = 3000
+    t = pa.table({
+        "conv_id": rng.choice(["c_hot"] * 8 + ["c1", "c2"], n),
+        "ts": pa.array(rng.integers(0, 20_000, n) * S).cast(
+            pa.timestamp("us")),
+    })
+    a = canon(salted_session_counts(rd.from_arrow(t).repartition(12),
+                                    20 * S, num_merge_buckets=4).to_pandas())
+    b = canon(session_stats(rd.from_arrow(t), 20 * S,
+                            num_buckets=4).to_pandas())
+    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+    assert len(a) > 100 and a["n_turns"].max() > 20
+
+
 def test_salted_session_full_stats_equal_engine(ray_session):
     """Round-2 VERDICT #4: the interval-stitch of full _WindowAcc
     partials must reproduce the stateful engine's session rows exactly
@@ -110,64 +138,6 @@ def test_salted_session_full_stats_equal_engine(ray_session):
     # non-vacuous: the hot conv produced multiple sessions with text stats
     assert len(a) > 10 and (a["char_entropy"] > 0).any()
     assert (a["ctw_roles_bpb"] > 0).any()
-
-
-def test_merge_window_acc_spilled_kgrams(monkeypatch):
-    """Spill-aware accumulator merge (round-3 review finding): merging
-    must not crash or drop counts when either side's k-gram histogram
-    has spilled to the bounded sketch, and a merged exact dict past the
-    cap must itself spill."""
-    import random
-
-    from fasta_windows_ray.state import engine
-    from fasta_windows_ray.state.engine import (WindowConfig, _WindowAcc,
-                                                _ASCII_UP, _text_stats)
-    from fasta_windows_ray.stages.salted import merge_window_acc
-
-    monkeypatch.setattr(engine, "KGRAM_CAP", 32)
-    cfg = WindowConfig(kind="session", gap_us=10**9, profile="full",
-                       ctw_depth=-1)
-    rng = random.Random(3)
-
-    def acc_for(texts, t0):
-        a = _WindowAcc()
-        for i, txt in enumerate(texts):
-            st = _text_stats(txt, txt.translate(_ASCII_UP), cfg.bigram)
-            a.add(t0 + i, i, "user", txt, "", cfg, st)
-        return a
-
-    def rand_texts(n, length):
-        return ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=length))
-                for _ in range(n)]
-
-    # kg index 2 = 4-grams. length-10 texts stay exact (7 grams < 32);
-    # an 80-char text spills (77 distinct > 32).
-    # dst exact + src exact, merged past cap -> re-spill
-    a, b = acc_for(rand_texts(2, 12), 0), acc_for(rand_texts(2, 12), 10)
-    assert a.kg[2] is not None and b.kg[2] is not None
-    merge_window_acc(a, b)
-    assert a.kg[2] is None and a.kg_spill[2].total > 0
-
-    # dst spilled + src exact
-    a = acc_for(rand_texts(1, 80), 0)
-    assert a.kg_spill and 2 in a.kg_spill
-    b = acc_for(rand_texts(1, 10), 10)
-    tot = a.kg_spill[2].total + sum(b.kg[2].values())
-    merge_window_acc(a, b)
-    assert a.kg_spill[2].total == tot
-
-    # dst exact + src spilled, and both spilled
-    a, b = acc_for(rand_texts(1, 10), 0), acc_for(rand_texts(1, 80), 10)
-    tot = sum(a.kg[2].values()) + b.kg_spill[2].total
-    merge_window_acc(a, b)
-    assert a.kg_spill[2].total == tot
-    c = acc_for(rand_texts(1, 80), 20)
-    tot += c.kg_spill[2].total
-    merge_window_acc(a, c)
-    assert a.kg_spill[2].total == tot
-    # finalize runs on the merged, spilled accumulator
-    row = a.finalize("c", 0, 30, cfg)
-    assert row["n_turns"] == 3 and row["quadgram_diversity"] > 0
 
 
 def test_salted_session_stats_null_cells_match_engine(ray_session):

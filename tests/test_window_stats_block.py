@@ -375,3 +375,31 @@ def test_write_partitioned_blocks(ray_session, tmp_path):
     assert list(got.columns) == ["bucket", "x", "s"]
     assert sorted(got["bucket"].value_counts().to_dict().items()) == [
         (3, 15), (7, 6), (9, 12)]
+
+
+def test_explicit_window_end_column():
+    """With ``step_us`` unset, ``window_start`` assigns the windows and
+    a ``window_end`` column gives each window's end; without it the end
+    is start + ``window_size_us``."""
+    t = pa.table({
+        "conv_id": ["a", "a", "a", "b"],
+        "role": ["user", "tool", "user", "system"],
+        "ts": pa.array([EPOCH, EPOCH + 5 * S, EPOCH + 50 * S, EPOCH],
+                       pa.timestamp("us")),
+        "window_start": pa.array([EPOCH, EPOCH, EPOCH + 50 * S, EPOCH],
+                                 pa.timestamp("us")),
+        "window_end": pa.array([EPOCH + 5 * S, EPOCH + 5 * S,
+                                EPOCH + 50 * S, EPOCH], pa.timestamp("us")),
+    })
+    got = W.BucketWindowStats(profile="counts").table(t).to_pandas() \
+        .sort_values(KEY).reset_index(drop=True)
+    as_us = lambda c: got[c].astype("int64").tolist()  # noqa: E731
+    assert got["conv_id"].tolist() == ["a", "a", "b"]
+    assert got["n_turns"].tolist() == [2, 1, 1]
+    assert got["n_tool"].tolist() == [1, 0, 0]
+    assert as_us("window_end") == [EPOCH + 5 * S, EPOCH + 50 * S, EPOCH]
+    sized = W.BucketWindowStats(profile="counts", window_size_us=60 * S) \
+        .table(t.drop_columns(["window_end"])).to_pandas() \
+        .sort_values(KEY).reset_index(drop=True)
+    assert (sized["window_end"] - sized["window_start"]
+            == pd.Timedelta(60, "s")).all()

@@ -6,8 +6,9 @@ import pandas as pd
 from fasta_windows_ray.state.engine import StreamEngine, WindowConfig, \
     emitted_to_frame
 from fasta_windows_ray.synth import EPOCH_US, conv_from_string
-from fasta_windows_ray.windows import (session_ids, sliding_starts_expand,
-                                       tumbling_start, turn_window_bounds)
+from fasta_windows_ray.windows import (count_window_bounds, session_ids,
+                                       sliding_starts_expand, tumbling_start,
+                                       turn_window_bounds)
 
 S = 1_000_000  # 1 s in us
 
@@ -53,6 +54,17 @@ def test_turn_window_bounds():  # issues #8/#9
     assert turn_window_bounds(np.array([0]), 10, 7).tolist() == [7]       # F16
     assert turn_window_bounds(np.array([0, 10]), 10, 20).tolist() == [10, 20]  # F17
     assert turn_window_bounds(np.array([20]), 10, 25).tolist() == [25]    # F18
+
+
+def test_count_window_bounds():  # F16-F18 in one call, keys sorted
+    key = np.repeat([0, 1, 2], [7, 20, 25])
+    start, end = count_window_bounds(key, 10)
+    got = sorted(set(zip(key.tolist(), start.tolist(), end.tolist())))
+    assert got == [(0, 0, 7), (1, 0, 10), (1, 10, 20),
+                   (2, 0, 10), (2, 10, 20), (2, 20, 25)]
+    assert start[7:27].tolist() == [0] * 10 + [10] * 10   # rank per key
+    empty = count_window_bounds(key[:0], 10)
+    assert [len(a) for a in empty] == [0, 0]
 
 
 # --- engine-level boundary semantics (1 turn == 1 second) -------------------
