@@ -1,45 +1,40 @@
 """Stateful streaming window engine — the north-star core.
 
-Per-key (conv_id) state store with:
+One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
 
-- a **ring buffer** of pending turns (held until the watermark passes
-  their window's end),
-- **rolling histograms** per open window: the entering turn is *added*
-  to the window's role/char/k-gram histograms on arrival, and windows are
-  finalised from the accumulated histograms — the same incremental trick
-  fasta_windows' count-histogram stats enable (SURVEY.md §1.1: entropy is
-  a pure function of the histogram, so add/evict gives bit-identical
-  results to full recompute; pytest gate F19),
-- a **watermark-ordered min-heap** of open windows, emitted when
-  ``watermark >= window_end`` (watermark = max event ts seen in the
-  partition − allowed lateness; derived from data, never wall clock),
-- **late-row** handling: rows with ts < watermark are dropped and counted
-  (metrics), matching the north_rule's same-input+watermark determinism,
+- a **row log** for open tumbling and sliding windows in final mode: the
+  accepted rows, as one Arrow table. Each ``process_rows``/``flush``
+  call finalizes every window that became due in that call from its
+  rows, with the batch kernel (``BucketWindowStats.table``, CTW by
+  ``ctw_batch``), cut into whole-window chunks of about ``_CHUNK_CHARS``
+  characters; a row leaves the log once its newest covering window is
+  due. Stream and batch share one stats implementation, so their rows
+  are equal bit for bit;
+- a **watermark** = max event ts seen in the partition − allowed
+  lateness (derived from data, never wall clock). A row is late iff its
+  ts is below the watermark set by the rows before it; late rows are
+  dropped and counted, and exact ``(turn_uid, ts)`` replays are dropped
+  as duplicates (``seen_uids``, pruned below the watermark);
+- **per-window accumulators** (``_WindowAcc``: role/char/k-gram
+  histograms, with ``_BoundedKgrams`` past ``KGRAM_CAP`` distinct
+  k-grams) for the windows the log does not hold: sessions, count
+  windows, updates mode and early firing, ``custom_aggs``, and a log
+  window whose buffered rows plus characters pass ``KGRAM_CAP`` (it is
+  promoted: its rows fold into an accumulator, which bounds its memory,
+  and ``Metrics.windows_promoted`` counts it). Accumulator windows wait
+  on a min-heap of window ends;
 - **checkpoint/resume**: ``snapshot()``/``restore()`` round-trip the whole
-  state (buffers + watermark + emitted high-water marks + metrics).
+  state (row log, accumulators, watermark, dedup sets, metrics).
 
-CTW (order-dependent, kmeru8.rs:170-319) is computed at emission from the
-window's ordered role sequence kept in the ring buffer — it is the one
-stat that cannot be rolled, exactly as SURVEY.md §2.3 A11 records.
-
-Rolling-update note: for sliding windows this engine incorporates each
-arriving turn incrementally into EVERY window covering it — but the
-turn's text histograms (char counts, k-gram counts) are computed ONCE
-per row (:func:`_text_stats`) and count-merged into each covering
-window's accumulator, so the per-occurrence scan cost is paid once, not
-size/step times. Count-merging integer histograms is bit-identical to
-per-occurrence increments (same final counts; every entropy is a pure
-function of the sorted histogram). Under bounded out-of-orderness this
-stays correct for late-but-in-bounds arrivals that an already-advanced
-single accumulator could not accept. ``_WindowAcc.evict`` is the exact
-inverse of ``add`` (pytest F19 + hypothesis roundtrip), so the classic
-evict-on-advance variant is available to state stores that want O(1)
-histograms per key.
+In final mode no accepted row falls into a window that is already due,
+so draining once per call emits exactly what draining after every row
+would, and the output does not depend on how the input is split into
+calls.
 
 Emission does NOT buffer: ``process_rows``/``flush`` RETURN the emitted
 rows and the engine retains no emitted history (a long-running partition
-actor's heap stays flat — round-2 VERDICT #2; callers collect the
-returns, see state/runner.py).
+actor's heap stays flat; callers collect the returns, see
+state/runner.py).
 
 Partitioning contract: one ``StreamEngine`` instance owns a hash
 partition of conv_ids; rows must arrive partition-ordered by event-log
@@ -57,9 +52,13 @@ from functools import lru_cache
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import kernels as K
-from ..stages.window_stats import STATS_COLUMNS
+from ..stages.window_stats import (_CHUNK_CHARS, STATS_COLUMNS,
+                                   BucketWindowStats, _group_chunks)
+from ..windows import sliding_starts_expand, tumbling_start
 
 ROLE_IDX = {"user": 0, "assistant": 1, "system": 2, "tool": 3, "other": 4}
 
@@ -72,7 +71,9 @@ _ASCII_UP = str.maketrans("abcdefghijklmnopqrstuvwxyz",
 
 # distinct-k-gram cap before a window's histogram spills to the bounded
 # sketch (count-min + Misra-Gries); spills are surfaced via
-# Metrics.kgram_spills so approximate windows are attributable
+# Metrics.kgram_spills so approximate windows are attributable. A window
+# of the row log whose buffered rows plus UTF-8 text bytes pass the same
+# cap moves to an accumulator (Metrics.windows_promoted)
 KGRAM_CAP = 65_536
 
 
@@ -447,9 +448,63 @@ class Metrics:
     late_updates: int = 0     # updates mode: re-emissions caused by late rows
     windows_expired: int = 0  # updates mode: retained windows GC'd at retention
     early_panes: int = 0      # speculative panes fired before the watermark
+    windows_promoted: int = 0  # log windows moved to an accumulator
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+# the row log: accepted rows of open log windows, in arrival order;
+# turn_uid is the engine's uid (turn_uid, else turn_idx, else row number)
+_LOG_SCHEMA = pa.schema([("conv_id", pa.string()), ("ts", pa.int64()),
+                         ("turn_uid", pa.int64()), ("role", pa.string()),
+                         ("text", pa.large_string()), ("tool", pa.string())])
+
+
+def _str_array(values: np.ndarray, typ: pa.DataType) -> pa.Array:
+    """``values`` as Arrow strings of type ``typ``, None/NaN as null;
+    other objects by ``str``, as the per-row path converts them."""
+    try:
+        arr = pa.array(values, from_pandas=True)
+    except (pa.ArrowInvalid, pa.ArrowTypeError):
+        arr = pa.array([None if v is None or v != v else str(v)
+                        for v in values], typ)
+    return arr if arr.type == typ else arr.cast(typ)
+
+
+def _text_bytes(t: pa.Table) -> np.ndarray:
+    """UTF-8 text bytes per row of a log table (null text: 0)."""
+    return pc.fill_null(pc.binary_length(t["text"]), 0).to_numpy() \
+        .astype(np.int64)
+
+
+def _row_values(t: pa.Table):
+    """(ts, uid, role, text, tool) per row of a log table, with the
+    engine's null conventions, as ``_WindowAcc.add`` takes them."""
+    return zip(t["ts"].to_pylist(), t["turn_uid"].to_pylist(),
+               pc.fill_null(t["role"], "user").to_pylist(),
+               pc.fill_null(t["text"], "").to_pylist(),
+               pc.fill_null(t["tool"], "").to_pylist())
+
+
+def _emitted_rows(t: pa.Table) -> list[dict]:
+    """Kernel output as emitted rows: timestamps as int64 epoch-us, and
+    NaN where the kernel wrote a 0/0 ratio as null."""
+    cols = []
+    for f in t.schema:
+        col = t[f.name]
+        if pa.types.is_timestamp(f.type):
+            col = col.cast(pa.int64())
+        elif pa.types.is_floating(f.type):
+            col = pc.fill_null(col, math.nan)
+        cols.append(col.to_pylist())
+    names = t.column_names
+    return [dict(zip(names, v)) for v in zip(*cols)]
+
+
+def _emit_order(row: dict) -> tuple:
+    """Emission order of the window heap: (end, conv_id, start)."""
+    return row["window_end"], row["conv_id"], row["window_start"]
 
 
 class StreamEngine:
@@ -491,6 +546,17 @@ class StreamEngine:
         self._since_fire: dict[tuple, int] = {}
         self.metrics = Metrics()
         self._drains = 0      # throttles the O(#convs) GC scans in _drain
+        # final-mode tumbling/sliding windows without custom aggregates
+        # live in the row log; ``open`` then holds promoted windows only
+        self._log_mode = (cfg.kind in ("tumbling", "sliding")
+                         and cfg.emit == "final" and not cfg.custom_aggs)
+        self.log = _LOG_SCHEMA.empty_table()
+        # (conv_id, start) -> buffered rows + text bytes of a log window
+        self._log_cost: dict[tuple, int] = {}
+        self._stats = BucketWindowStats(profile=cfg.profile,
+                                        ctw_depth=cfg.ctw_depth,
+                                        bigram=cfg.bigram,
+                                        ctw_text=cfg.ctw_text)
 
     def _prune_seen(self, conv: str, seen: set) -> set:
         """Bound dedup state: a duplicate with ts < watermark would be
@@ -528,15 +594,21 @@ class StreamEngine:
         watermark advancing past window ends."""
         cfg = self.cfg
         cols = rows.columns
-        get = {c: rows[c].to_numpy() for c in
-               ("conv_id", "role", "text", "tool") if c in cols}
-        ts_arr = rows["ts"].astype("datetime64[us]").astype("int64").to_numpy()
+        ts_arr = rows["ts"].to_numpy()
+        if ts_arr.dtype != "M8[us]":
+            ts_arr = rows["ts"].astype("datetime64[us]").to_numpy()
+        ts_arr = ts_arr.view(np.int64)
         if "turn_uid" in cols:
             uid_arr = rows["turn_uid"].to_numpy()
         elif "turn_idx" in cols:
             uid_arr = rows["turn_idx"].to_numpy()
         else:
             uid_arr = np.arange(len(rows))
+        if self._log_mode:
+            return self._process_log(rows, ts_arr,
+                                     np.asarray(uid_arr, dtype=np.int64))
+        get = {c: rows[c].to_numpy() for c in
+               ("conv_id", "role", "text", "tool") if c in cols}
         want_stats = cfg.profile != "counts"
         updates = cfg.emit == "updates"
         # count windows are arrival-order semantics (Flink countWindow):
@@ -641,6 +713,175 @@ class StreamEngine:
                 self.watermark = ts - cfg.lateness_us
                 self._drain(out)
         return out
+
+    # -- row log (final-mode tumbling/sliding) -------------------------------
+
+    def _process_log(self, rows: pd.DataFrame, ts: np.ndarray,
+                     uid: np.ndarray) -> list[dict]:
+        """``process_rows`` for log windows. Each row is judged late or
+        duplicate against the watermark of the rows before it, as one
+        row at a time would be; the accepted rows go to the log in one
+        append, and one drain emits every window due at the call's end."""
+        cfg, m = self.cfg, self.metrics
+        n = len(ts)
+        m.rows_in += n
+        wm0 = self.watermark
+        run = np.maximum.accumulate(np.r_[np.int64(self.max_ts), ts])[:-1]
+        wm_row = np.maximum(run - cfg.lateness_us, wm0)
+        keep = ts >= wm_row
+        idx = np.flatnonzero(keep)
+        m.late_dropped += n - len(idx)
+        convs: list[str] = []
+        seen_uids, prune_at = self.seen_uids, self._seen_prune_at
+        for i, c, key, w in zip(idx.tolist(), rows["conv_id"].to_numpy()[idx],
+                                zip(uid[idx].tolist(), ts[idx].tolist()),
+                                wm_row[idx].tolist()):
+            conv = str(c)
+            seen = seen_uids.setdefault(conv, set())
+            if key in seen:
+                keep[i] = False
+                continue
+            seen.add(key)
+            if len(seen) >= prune_at.get(conv, 1024):
+                self.watermark = w          # the watermark this row saw
+                self._prune_seen(conv, seen)
+            convs.append(conv)
+        self.watermark = wm0
+        m.dup_dropped += len(idx) - len(convs)
+        if n and int(ts.max()) > self.max_ts:
+            self.max_ts = int(ts.max())
+            self.watermark = self.max_ts - cfg.lateness_us
+        if convs:
+            sel = np.flatnonzero(keep)
+            cols = rows.columns
+            self._append(pa.table({
+                "conv_id": pa.array(convs, pa.string()),
+                "ts": pa.array(ts[sel]), "turn_uid": pa.array(uid[sel]),
+                **{c: (_str_array(rows[c].to_numpy()[sel], typ) if c in cols
+                       else pa.nulls(len(sel), typ))
+                   for c, typ in (("role", pa.string()),
+                                  ("text", pa.large_string()),
+                                  ("tool", pa.string()))}},
+                schema=_LOG_SCHEMA), wm0)
+        out: list[dict] = []
+        self._drain_log(out, wm0, self.watermark)
+        self._drain(out)
+        out.sort(key=_emit_order)
+        return out
+
+    def _memberships(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, window start) of every window covering each of ``ts``,
+        in row order."""
+        cfg = self.cfg
+        if cfg.kind == "tumbling":
+            return (np.arange(len(ts)),
+                    tumbling_start(ts, cfg.size_us, cfg.offset_us))
+        return sliding_starts_expand(ts, cfg.size_us, cfg.step_us,
+                                     cfg.offset_us)
+
+    def _windows_of(self, t: pa.Table):
+        """``_memberships`` of a log table's rows, plus each membership's
+        conv_id."""
+        r, s = self._memberships(t["ts"].to_numpy())
+        return r, s, np.asarray(t["conv_id"].to_pylist(), dtype=object)[r]
+
+    def _add_costs(self, conv, starts, cost) -> tuple[list, set]:
+        """Add each membership's cost to its log window's buffered cost.
+        Returns the memberships of promoted windows (positions) and the
+        windows now past ``KGRAM_CAP``."""
+        book, accs = self._log_cost, self.open
+        to_acc, over = [], set()
+        for j, key, c in zip(range(len(starts)), zip(conv, starts.tolist()),
+                             cost.tolist()):
+            if key in accs:
+                to_acc.append(j)
+                continue
+            c += book.get(key, 0)
+            book[key] = c
+            if c > KGRAM_CAP:
+                over.add(key)
+        return to_acc, over
+
+    def _append(self, new: pa.Table, wm0: int) -> None:
+        """Log the accepted rows ``new``; a window whose buffered cost
+        passes ``KGRAM_CAP`` is promoted to an accumulator, and rows of
+        promoted windows go to theirs."""
+        r, s, conv = self._windows_of(new)
+        to_acc, over = self._add_costs(conv, s, (1 + _text_bytes(new))[r])
+        if to_acc:
+            # a row whose every window is promoted stays out of the log
+            live = np.ones(len(r), dtype=bool)
+            live[to_acc] = False
+            self.log = pa.concat_tables([self.log, new.filter(
+                np.bincount(r[live], minlength=new.num_rows) > 0)])
+            vals = list(_row_values(new))
+            for j in to_acc:
+                self.open[(conv[j], int(s[j]))].add(*vals[r[j]], self.cfg)
+        else:
+            self.log = pa.concat_tables([self.log, new])
+        if over:
+            self._promote(sorted(over), wm0)
+
+    def _promote(self, keys: list, wm0: int) -> None:
+        """Fold the log rows of each window in ``keys`` into a new
+        accumulator, in arrival order, and drop the log rows whose
+        unemitted windows are all promoted."""
+        cfg, log = self.cfg, self.log
+        r, s, conv = self._windows_of(log)
+        for key in keys:
+            acc = _WindowAcc()
+            mine = r[(conv == key[0]) & (s == key[1])]
+            for v in _row_values(log.take(mine)):
+                acc.add(*v, cfg)
+            self.open[key] = acc
+            heapq.heappush(self.heap, (key[1] + cfg.size_us, *key))
+            del self._log_cost[key]
+            self.metrics.windows_promoted += 1
+        live = np.fromiter((k not in self.open for k in zip(conv, s.tolist())),
+                           dtype=bool, count=len(r))
+        live &= s + cfg.size_us > wm0
+        self.log = log.filter(np.bincount(r[live], minlength=log.num_rows) > 0)
+
+    def _drain_log(self, out: list[dict], lo: int, hi: int) -> None:
+        """Emit every log window with ``lo < window_end <= hi``, in
+        whole-window chunks of about ``_CHUNK_CHARS`` per kernel call, and
+        drop the rows whose newest window is among them."""
+        cfg, log = self.cfg, self.log
+        if not log.num_rows:
+            return
+        size, off = cfg.size_us, cfg.offset_us
+        step = cfg.step_us if cfg.kind == "sliding" else size
+        # window ends lie on the grid off + size + k * step
+        if (lo - off - size) // step * step + step + off + size > hi:
+            return
+        ts = log["ts"].to_numpy()
+        r, s = self._memberships(ts)
+        due = (s + size > lo) & (s + size <= hi)
+        if self.open:
+            conv = log["conv_id"].to_pylist()
+            due &= np.fromiter(((conv[i], w) not in self.open for i, w
+                                in zip(r.tolist(), s.tolist())),
+                               dtype=bool, count=len(r))
+        r, s = r[due], s[due]
+        if len(r):
+            codes = log["conv_id"].combine_chunks().dictionary_encode() \
+                .indices.to_numpy().astype(np.int64)[r]
+            order = np.lexsort((s, codes))
+            r, s, codes = r[order], s[order], codes[order]
+            t = log.take(r).append_column("window_start", pa.array(s)) \
+                .append_column("window_end", pa.array(s + size))
+            first = np.r_[True, (codes[1:] != codes[:-1]) | (s[1:] != s[:-1])]
+            for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
+                                      _CHUNK_CHARS):
+                rows = _emitted_rows(self._stats.table(t.slice(a, b - a)))
+                self.metrics.windows_emitted += len(rows)
+                out.extend(rows)
+            w = np.flatnonzero(first)
+            for key in zip(t["conv_id"].take(w).to_pylist(), s[w].tolist()):
+                self._log_cost.pop(key, None)
+        newest = tumbling_start(ts, step, off) + size
+        if (newest <= hi).any():
+            self.log = log.filter(newest > hi).combine_chunks()
 
     def _ingest_session(self, conv: str, ts: int, uid: int, role: str,
                         text: str, tool: str, out: list[dict], stats=None):
@@ -784,12 +1025,15 @@ class StreamEngine:
     def flush(self) -> list[dict]:
         """Close every remaining window/session (input exhausted)."""
         out: list[dict] = []
+        self._drain_log(out, self.watermark, np.iinfo(np.int64).max)
         while self.heap:
             end, conv, s = heapq.heappop(self.heap)
             acc = self.open.pop((conv, s), None)
             if acc is None:
                 continue
             out.append(self._finalize_row(conv, s, end, acc))
+        if self._log_mode:
+            out.sort(key=_emit_order)
         for conv in sorted(self.sessions):
             out.append(self._session_row(conv, self.sessions.pop(conv)))
         for conv in sorted(self.count_bufs):   # trailing partial chunks
@@ -809,6 +1053,7 @@ class StreamEngine:
             "metrics": self.metrics,
             "revisions": self.revisions, "ret_heap": self.ret_heap,
             "count_bufs": self.count_bufs, "since_fire": self._since_fire,
+            "log": self.log,
         })
 
     @classmethod
@@ -818,11 +1063,18 @@ class StreamEngine:
         eng.watermark, eng.max_ts = d["watermark"], d["max_ts"]
         eng.open, eng.heap = d["open"], d["heap"]
         eng.sessions, eng.seen_uids = d["sessions"], d["seen_uids"]
-        eng.metrics = d["metrics"]
+        # older snapshots lack the newer counters and the row log
+        eng.metrics = Metrics(**vars(d["metrics"]))
         eng.revisions = d.get("revisions", {})
         eng.ret_heap = d.get("ret_heap", [])
         eng.count_bufs = d.get("count_bufs", {})
         eng._since_fire = d.get("since_fire", {})
+        if eng._log_mode and "log" in d:
+            eng.log = d["log"]
+            r, s, conv = eng._windows_of(eng.log)
+            live = s + eng.cfg.size_us > eng.watermark
+            eng._add_costs(conv[live], s[live],
+                           (1 + _text_bytes(eng.log))[r][live])
         return eng
 
 

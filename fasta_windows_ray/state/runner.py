@@ -41,6 +41,15 @@ def _extra_cols(cfg: WindowConfig) -> tuple:
     return extra
 
 
+def partition_of(conv_ids, num_partitions: int) -> np.ndarray:
+    """Partition of each conv_id: ``zlib.crc32`` of its UTF-8 string
+    modulo ``num_partitions``, hashed once per distinct conv_id."""
+    codes, uniq = pd.factorize(pd.Series(conv_ids).astype(str))
+    part = np.asarray([zlib.crc32(c.encode()) % num_partitions
+                       for c in uniq], dtype=np.int64)
+    return part[codes]
+
+
 def latest_revision(df: pd.DataFrame,
                     keys: tuple = ("conv_id", "window_start")) -> pd.DataFrame:
     """Resolve an updates-mode output stream to its final state: keep the
@@ -64,8 +73,9 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
     The batch window kinds (``window_stats``, ``session_stats``,
     ``turn_window_counts``, ``salted_session_stats``) compute their stats
     with ``BucketWindowStats``; this replay runs the stream engine
-    instead, and is what the parity tests hold the engine to the batch
-    path with."""
+    (watermarks, late/dup drops, and the same kernel for final-mode
+    tumbling/sliding windows), and is what the parity tests hold the
+    engine to the batch path with."""
     slabbed = cfg.kind in ("tumbling", "sliding") and bool(slab_windows)
     if slabbed:
         ds, slab_l = add_bucket_slab(
@@ -184,8 +194,7 @@ class StreamingJob:
         ``crash_after_batches`` aborts mid-run WITHOUT flushing — used by
         the kill-and-resume test.
         """
-        conv = table["conv_id"].astype(str).to_numpy()
-        part = np.asarray([zlib.crc32(c.encode()) % self.P for c in conv])
+        part = partition_of(table["conv_id"].to_numpy(), self.P)
         n = len(table)
         consumed = [0] * self.P
         batches_fed = 0

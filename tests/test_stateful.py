@@ -97,7 +97,8 @@ def test_stateful_matches_stateless_groupby(ray_session):
                                          num_buckets=8).to_pandas())
     pd.testing.assert_frame_equal(
         stateless.drop(columns=["last_ts"]),
-        stateful.drop(columns=["last_ts"]), check_dtype=False)
+        stateful.drop(columns=["last_ts"]), check_dtype=False,
+        check_exact=True)
 
 
 def test_sliding_stateful_matches_stateless(ray_session):
@@ -114,7 +115,8 @@ def test_sliding_stateful_matches_stateless(ray_session):
                                          num_buckets=8).to_pandas())
     pd.testing.assert_frame_equal(
         stateless.drop(columns=["last_ts"]),
-        stateful.drop(columns=["last_ts"]), check_dtype=False)
+        stateful.drop(columns=["last_ts"]), check_dtype=False,
+        check_exact=True)
 
 
 def test_session_stateful_matches_sessions_stage(ray_session):
