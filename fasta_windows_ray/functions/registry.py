@@ -1,19 +1,18 @@
 """User extension surface: registry of custom window-aggregate UDFs.
 
 The reference has no extension mechanism beyond CLI flags
-(main.rs:13-77); the north rule asks for one. A window aggregate is the
-quadruple the rolling engine needs (SURVEY.md §2.7):
+(main.rs:13-77); the north rule asks for one. A window aggregate is a
+quadruple (SURVEY.md §2.7):
 
-    init()              -> state            (per open window)
-    add(state, row)     -> None             (entering turn)
-    evict(state, row)   -> None             (leaving turn; must be the
-                                             exact inverse of add for the
-                                             rolling path to be valid)
+    init()              -> state            (per window)
+    add(state, row)     -> None             (each turn, in arrival order)
+    evict(state, row)   -> None             (exact inverse of add; no
+                                             engine path calls it)
     emit(state)         -> scalar           (at window emission)
 
 Registered aggregates run inside the stateful StreamEngine
-(state/engine.py) via ``WindowConfig(custom_aggs=[...])``; each
-contributes one output column named after its registration key.
+(state/engine.py) via ``WindowConfig(custom_aggs=[...])``, each adding
+one output column named after its registration key.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ Assignment needs the key's sorted timestamps, so it runs per chunk of
 whole hash buckets inside ``stats_by_group``: one sort and one
 ``windows.session_ids`` call assign every row of the chunk its
 session's first and last ts, and ``BucketWindowStats`` computes the
-stats of every session at once. The stateful/watermark path computes
-identical sessions incrementally (state/engine.py); equality of the two
-is a pytest gate.
+stats of every session at once. The stream engine (state/engine.py)
+assigns sessions as rows arrive, on the same kernel; on ts-sorted input
+they equal these (a pytest gate).
 """
 
 from __future__ import annotations

@@ -2,34 +2,38 @@
 
 One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
 
-- a **row log** for open tumbling and sliding windows in final mode: the
-  accepted rows, as one Arrow table. Each ``process_rows``/``flush``
-  call finalizes every window that became due in that call from its
-  rows, with the batch kernel (``BucketWindowStats.table``, CTW by
-  ``ctw_batch``), cut into whole-window chunks of about ``_CHUNK_CHARS``
-  characters; a row leaves the log once its newest covering window is
-  due. Stream and batch share one stats implementation, so their rows
-  are equal bit for bit;
+- a **row log** for every final-mode window (tumbling, sliding, session
+  and count, with or without ``custom_aggs``): the accepted rows, in
+  arrival order, as one Arrow table. Each ``process_rows``/``flush``
+  call finalizes every window that closed in it with the batch kernel
+  (``BucketWindowStats.table``, CTW by ``ctw_batch``), in whole-window
+  chunks of about ``_CHUNK_CHARS`` characters, and folds custom
+  aggregates over each window's rows in arrival order. A window closes:
+  tumbling/sliding, once the watermark reaches its end (a row leaves the
+  log with its newest window); session, when a row of its conv comes
+  more than ``gap_us`` after its last ts, at a call's end once the
+  watermark is more than ``gap_us`` past that ts, or at ``flush``;
+  count (a row's chunk is its rank among its conv's accepted rows //
+  ``count_turns``), once full, or at ``flush`` with a clamped end;
 - a **watermark** = max event ts seen in the partition − allowed
   lateness (derived from data, never wall clock). A row is late iff its
   ts is below the watermark set by the rows before it; late rows are
-  dropped and counted, and exact ``(turn_uid, ts)`` replays are dropped
-  as duplicates (``seen_uids``, pruned below the watermark);
+  dropped and counted (not for count windows, which follow arrival
+  order), and exact ``(turn_uid, ts)`` replays are dropped as
+  duplicates (``seen_uids``, pruned below the watermark);
 - **per-window accumulators** (``_WindowAcc``: role/char/k-gram
   histograms, with ``_BoundedKgrams`` past ``KGRAM_CAP`` distinct
-  k-grams) for the windows the log does not hold: sessions, count
-  windows, updates mode and early firing, ``custom_aggs``, and a log
-  window whose buffered rows plus characters pass ``KGRAM_CAP`` (it is
-  promoted: its rows fold into an accumulator, which bounds its memory,
-  and ``Metrics.windows_promoted`` counts it). Accumulator windows wait
-  on a min-heap of window ends;
+  k-grams) for updates mode and early firing, and for a log window whose
+  buffered rows plus characters pass ``KGRAM_CAP`` (it is promoted: its
+  rows fold into an accumulator, which bounds its memory, and
+  ``Metrics.windows_promoted`` counts it);
 - **checkpoint/resume**: ``snapshot()``/``restore()`` round-trip the whole
-  state (row log, accumulators, watermark, dedup sets, metrics).
+  state (row log, open sessions, count positions, accumulators,
+  watermark, dedup sets, metrics).
 
-In final mode no accepted row falls into a window that is already due,
-so draining once per call emits exactly what draining after every row
-would, and the output does not depend on how the input is split into
-calls.
+In final mode no accepted row falls into a closed window, so draining
+once per call emits exactly what draining after every row would, and
+the output does not depend on how the input is split into calls.
 
 Emission does NOT buffer: ``process_rows``/``flush`` RETURN the emitted
 rows and the engine retains no emitted history (a long-running partition
@@ -48,7 +52,6 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -75,23 +78,6 @@ _ASCII_UP = str.maketrans("abcdefghijklmnopqrstuvwxyz",
 # of the row log whose buffered rows plus UTF-8 text bytes pass the same
 # cap moves to an accumulator (Metrics.windows_promoted)
 KGRAM_CAP = 65_536
-
-
-@lru_cache(maxsize=1 << 16)
-def _ctw_roles_lru(roles: tuple, depth: int) -> float:
-    return K.ctw_roles(roles, depth)
-
-
-def _ctw_roles_cached(roles: tuple, depth: int) -> float:
-    """Memoized CTW over a role tuple. Windows are sparse (a few turns
-    each), so the same short role sequences recur constantly — caching
-    the pure function removes the dominant finalize cost (profiled 16%
-    of engine wall). Deterministic: same sequence -> same bits. Long
-    sequences bypass the cache (unbounded tuple keys would defeat the
-    lru's memory bound)."""
-    if len(roles) <= 32:
-        return _ctw_roles_lru(roles, depth)
-    return K.ctw_roles(roles, depth)
 
 
 def _text_stats(text: str, up: str, bigram: str):
@@ -326,9 +312,10 @@ class _WindowAcc:
 
     def evict(self, ts: int, turn_uid, role: str, text: str, tool: str,
               cfg: WindowConfig):
-        """Inverse of add — used by the rolling sliding-window path and by
-        exact-dedup replays. Histograms are integer, so add+evict is
-        bit-identical to never having added (F19/F22 gates)."""
+        """Inverse of add. No engine path calls it (windows are emitted
+        whole, and duplicates are dropped before they are added); the
+        tests keep it exact: histograms are integer, so add+evict is
+        bit-identical to never having added (F19 gate)."""
         self.role_counts[ROLE_IDX.get(role, 4)] -= 1
         if tool:
             self.masked -= 1
@@ -422,8 +409,8 @@ class _WindowAcc:
             else:
                 row[name] = 0.0
         row["bigram_rate"] = self.big_cnt / denom
-        row["ctw_roles_bpb"] = (_ctw_roles_cached(
-            tuple(r for _, _, r in turns), cfg.ctw_depth)
+        row["ctw_roles_bpb"] = (K.ctw_roles(
+            [r for _, _, r in turns], cfg.ctw_depth)
             if cfg.profile in ("full", "fast") else 0.0)
         row["ctw_text_bpb"] = (K.ctw_text_classes(
             [self.texts[(t0, t1)] for t0, t1, _ in turns], cfg.ctw_depth)
@@ -455,10 +442,17 @@ class Metrics:
 
 
 # the row log: accepted rows of open log windows, in arrival order;
-# turn_uid is the engine's uid (turn_uid, else turn_idx, else row number)
+# turn_uid is the engine's uid (turn_uid, else turn_idx, else row number).
+# Session and count logs add each row's window id (``wid``): its
+# session's per-conv ordinal, or its chunk's first turn offset
 _LOG_SCHEMA = pa.schema([("conv_id", pa.string()), ("ts", pa.int64()),
                          ("turn_uid", pa.int64()), ("role", pa.string()),
                          ("text", pa.large_string()), ("tool", pa.string())])
+_WID = pa.field("wid", pa.int64())
+
+# emitted (start, end) columns of the window kinds keyed by window id
+_BOUNDS = {"session": ("session_start", "session_end"),
+           "count": ("win_start", "win_end")}
 
 
 def _str_array(values: np.ndarray, typ: pa.DataType) -> pa.Array:
@@ -502,11 +496,6 @@ def _emitted_rows(t: pa.Table) -> list[dict]:
     return [dict(zip(names, v)) for v in zip(*cols)]
 
 
-def _emit_order(row: dict) -> tuple:
-    """Emission order of the window heap: (end, conv_id, start)."""
-    return row["window_end"], row["conv_id"], row["window_start"]
-
-
 class StreamEngine:
     """State machine for one partition (a hash range of conv_ids).
 
@@ -529,13 +518,13 @@ class StreamEngine:
         self.partition_id = partition_id
         self.watermark = -(1 << 62)
         self.max_ts = -(1 << 62)
-        # open tumbling/sliding windows: (conv_id, start) -> _WindowAcc
+        # accumulator windows: (conv_id, start | window id) -> _WindowAcc
         self.open: dict[tuple, _WindowAcc] = {}
         self.heap: list[tuple] = []      # (window_end, conv_id, start)
-        # session state: conv_id -> (first_ts, last_ts, n_turns)
-        self.sessions: dict[str, list] = {}
-        # count-window state: conv_id -> [chunks_emitted, acc, rows_in_acc]
-        self.count_bufs: dict[str, list] = {}
+        # open session of each conv: [ordinal, first ts, last ts]
+        self.open_sessions: dict[str, list] = {}
+        # count windows: accepted rows of each conv
+        self.count_rows: dict[str, int] = {}
         self.seen_uids: dict[str, set] = {}   # exact dedup of (conv, turn_uid)
         # per-conv amortized prune trigger for seen_uids (see _prune_seen)
         self._seen_prune_at: dict[str, int] = {}
@@ -545,13 +534,14 @@ class StreamEngine:
         # early firing: arrivals since the window's last speculative pane
         self._since_fire: dict[tuple, int] = {}
         self.metrics = Metrics()
-        self._drains = 0      # throttles the O(#convs) GC scans in _drain
-        # final-mode tumbling/sliding windows without custom aggregates
-        # live in the row log; ``open`` then holds promoted windows only
-        self._log_mode = (cfg.kind in ("tumbling", "sliding")
-                         and cfg.emit == "final" and not cfg.custom_aggs)
-        self.log = _LOG_SCHEMA.empty_table()
-        # (conv_id, start) -> buffered rows + text bytes of a log window
+        # final-mode windows live in the row log; ``open`` then holds
+        # promoted windows only
+        self._log_mode = cfg.emit == "final"
+        # session and count windows are keyed by (conv_id, window id)
+        self._keyed = cfg.kind in ("session", "count")
+        self.log = (_LOG_SCHEMA.append(_WID) if self._keyed
+                    else _LOG_SCHEMA).empty_table()
+        # (conv_id, window) -> buffered rows + text bytes of a log window
         self._log_cost: dict[tuple, int] = {}
         self._stats = BucketWindowStats(profile=cfg.profile,
                                         ctw_depth=cfg.ctw_depth,
@@ -559,22 +549,15 @@ class StreamEngine:
                                         ctw_text=cfg.ctw_text)
 
     def _prune_seen(self, conv: str, seen: set) -> set:
-        """Bound dedup state: a duplicate with ts < watermark would be
-        late-dropped before the dedup check, so entries older than the
-        watermark can NEVER match again — dropping them is always exact.
-        Amortized O(1)/insert: a conv's set is rescanned only once it
-        doubles past its post-prune size (a genuinely hot conv with many
-        live uids inside lateness just raises its own threshold).
-        Updates mode accepts a row iff SOME covering window is still
-        live (s + size_us + retention_us > watermark); the largest
-        covering start is <= ts, so acceptance implies
-        ts > watermark - size_us - retention_us — the prune threshold
-        must back off by BOTH terms (retention alone pruned entries of
-        still-acceptable rows, letting a replayed duplicate double-
-        count into a live window's next revision). Count windows accept
-        ANY ts (arrival-order semantics), so pruning is never exact
-        there — keep everything; a conv's dedup set is then bounded by
-        its true turn count, not the corpus."""
+        """Bound dedup state. A duplicate below the watermark is dropped
+        as late before the dedup check, so entries below it never match
+        again and pruning them is exact. A conv's set is rescanned only
+        once it doubles past its post-prune size (amortized O(1) per
+        insert). Updates mode accepts a row iff some covering window is
+        live (start + size_us + retention_us > watermark), that is iff
+        ts > watermark - size_us - retention_us, so it prunes below
+        that. Count windows accept any ts: their sets are never pruned,
+        and stay bounded by the conv's turn count."""
         if self.cfg.kind == "count":
             self._seen_prune_at[conv] = max(1024, 2 * len(seen))
             return seen
@@ -590,8 +573,9 @@ class StreamEngine:
 
     def process_rows(self, rows: pd.DataFrame) -> list[dict]:
         """Feed a batch of rows (any column order; requires conv_id, ts;
-        turn_uid/role/text/tool optional). Returns rows emitted by the
-        watermark advancing past window ends."""
+        turn_uid/role/text/tool optional). Returns the rows of the windows
+        that closed. Final mode goes through the row log; the per-row loop
+        below serves updates mode."""
         cfg = self.cfg
         cols = rows.columns
         ts_arr = rows["ts"].to_numpy()
@@ -610,27 +594,19 @@ class StreamEngine:
         get = {c: rows[c].to_numpy() for c in
                ("conv_id", "role", "text", "tool") if c in cols}
         want_stats = cfg.profile != "counts"
-        updates = cfg.emit == "updates"
-        # count windows are arrival-order semantics (Flink countWindow):
-        # event-time lateness does not apply
-        is_count = cfg.kind == "count"
         out: list[dict] = []
         for i in range(len(rows)):
             ts = int(ts_arr[i])
             self.metrics.rows_in += 1
-            late = ts < self.watermark and not is_count
-            late_starts = None
+            starts = cfg.starts_for(ts)
+            late = ts < self.watermark
             if late:
-                if not updates:
-                    self.metrics.late_dropped += 1
-                    continue
                 # live covering windows only; fully-expired rows drop
                 # BEFORE the dedup insert so seen_uids never grows on
                 # dead rows
-                late_starts = [s for s in cfg.starts_for(ts)
-                               if s + cfg.size_us + cfg.retention_us
-                               > self.watermark]
-                if not late_starts:
+                starts = [s for s in starts if s + cfg.size_us
+                          + cfg.retention_us > self.watermark]
+                if not starts:
                     self.metrics.late_dropped += 1
                     continue
             conv = str(get["conv_id"][i])
@@ -661,52 +637,32 @@ class StreamEngine:
             else:
                 stats = None
 
-            if cfg.kind == "session":
-                self._ingest_session(conv, ts, int(uid), role, text, tool,
-                                     out, stats)
-            elif is_count:
-                self._ingest_count(conv, ts, int(uid), role, text, tool,
-                                   out, stats)
-            elif not late:
-                for s in cfg.starts_for(ts):
-                    key = (conv, s)
-                    acc = self.open.get(key)
-                    if acc is None:
-                        acc = self.open[key] = _WindowAcc()
-                        heapq.heappush(self.heap,
-                                       (s + cfg.size_us, conv, s))
-                    acc.add(ts, int(uid), role, text, tool, cfg, stats)
-                    if cfg.early_fire_every:
-                        n = self._since_fire.get(key, 0) + 1
-                        if n >= cfg.early_fire_every \
-                                and s + cfg.size_us > self.watermark:
-                            # speculative pane for a still-open window
-                            out.append(self._finalize_row(
-                                conv, s, s + cfg.size_us, acc, pane=True))
-                            n = 0
-                        self._since_fire[key] = n
-            else:
-                # updates mode, late-but-retained row: fold into every
-                # live covering window; windows already past the
-                # watermark RE-EMIT immediately with revision += 1
-                for s in late_starts:
-                    key = (conv, s)
-                    end = s + cfg.size_us
-                    acc = self.open.get(key)
-                    if acc is None:
-                        acc = self.open[key] = _WindowAcc()
-                        if end > self.watermark:
-                            # covering window not yet due: normal path
-                            heapq.heappush(self.heap, (end, conv, s))
-                        else:
-                            # opened BY a late row: schedule retention GC
-                            heapq.heappush(
-                                self.ret_heap,
-                                (end + cfg.retention_us, conv, s))
-                    acc.add(ts, int(uid), role, text, tool, cfg, stats)
-                    if end <= self.watermark:
-                        out.append(self._finalize_row(conv, s, end, acc))
-                        self.metrics.late_updates += 1
+            # a late row folds into every live covering window; one
+            # already past the watermark RE-EMITS with revision += 1
+            for s in starts:
+                key = (conv, s)
+                end = s + cfg.size_us
+                acc = self.open.get(key)
+                if acc is None:
+                    acc = self.open[key] = _WindowAcc()
+                    if end > self.watermark:
+                        heapq.heappush(self.heap, (end, conv, s))
+                    else:
+                        # opened BY a late row: schedule retention GC
+                        heapq.heappush(self.ret_heap,
+                                       (end + cfg.retention_us, conv, s))
+                acc.add(ts, int(uid), role, text, tool, cfg, stats)
+                if end <= self.watermark:
+                    out.append(self._finalize_row(conv, s, end, acc))
+                    self.metrics.late_updates += 1
+                elif cfg.early_fire_every and not late:
+                    # speculative pane for a still-open window
+                    n = self._since_fire.get(key, 0) + 1
+                    if n >= cfg.early_fire_every:
+                        out.append(self._finalize_row(conv, s, end, acc,
+                                                      pane=True))
+                        n = 0
+                    self._since_fire[key] = n
 
             if ts > self.max_ts:
                 self.max_ts = ts
@@ -714,24 +670,30 @@ class StreamEngine:
                 self._drain(out)
         return out
 
-    # -- row log (final-mode tumbling/sliding) -------------------------------
+    # -- row log (final mode) -----------------------------------------------
 
     def _process_log(self, rows: pd.DataFrame, ts: np.ndarray,
                      uid: np.ndarray) -> list[dict]:
-        """``process_rows`` for log windows. Each row is judged late or
-        duplicate against the watermark of the rows before it, as one
-        row at a time would be; the accepted rows go to the log in one
-        append, and one drain emits every window due at the call's end."""
+        """``process_rows`` in final mode. Each row is judged late or
+        duplicate, and given its session or count chunk, as one row at a
+        time would be, against the watermark of the rows before it; the
+        accepted rows go to the log in one append, and one drain emits
+        every window closed at the call's end."""
         cfg, m = self.cfg, self.metrics
         n = len(ts)
         m.rows_in += n
         wm0 = self.watermark
         run = np.maximum.accumulate(np.r_[np.int64(self.max_ts), ts])[:-1]
         wm_row = np.maximum(run - cfg.lateness_us, wm0)
-        keep = ts >= wm_row
+        # count windows follow arrival order: lateness does not apply
+        keep = (ts >= wm_row) | (cfg.kind == "count")
         idx = np.flatnonzero(keep)
         m.late_dropped += n - len(idx)
         convs: list[str] = []
+        wids: list[int] = []
+        closed: dict[tuple, tuple] = {}     # see _drain_keyed
+        assign = {"session": self._session_of,
+                  "count": self._chunk_of}.get(cfg.kind)
         seen_uids, prune_at = self.seen_uids, self._seen_prune_at
         for i, c, key, w in zip(idx.tolist(), rows["conv_id"].to_numpy()[idx],
                                 zip(uid[idx].tolist(), ts[idx].tolist()),
@@ -746,6 +708,8 @@ class StreamEngine:
                 self.watermark = w          # the watermark this row saw
                 self._prune_seen(conv, seen)
             convs.append(conv)
+            if assign is not None:
+                wids.append(assign(conv, key[1], closed))
         self.watermark = wm0
         m.dup_dropped += len(idx) - len(convs)
         if n and int(ts.max()) > self.max_ts:
@@ -754,20 +718,50 @@ class StreamEngine:
         if convs:
             sel = np.flatnonzero(keep)
             cols = rows.columns
-            self._append(pa.table({
-                "conv_id": pa.array(convs, pa.string()),
-                "ts": pa.array(ts[sel]), "turn_uid": pa.array(uid[sel]),
-                **{c: (_str_array(rows[c].to_numpy()[sel], typ) if c in cols
-                       else pa.nulls(len(sel), typ))
-                   for c, typ in (("role", pa.string()),
-                                  ("text", pa.large_string()),
-                                  ("tool", pa.string()))}},
-                schema=_LOG_SCHEMA), wm0)
+            new = {"conv_id": pa.array(convs, pa.string()),
+                   "ts": pa.array(ts[sel]), "turn_uid": pa.array(uid[sel]),
+                   **{c: (_str_array(rows[c].to_numpy()[sel], typ)
+                          if c in cols else pa.nulls(len(sel), typ))
+                      for c, typ in (("role", pa.string()),
+                                     ("text", pa.large_string()),
+                                     ("tool", pa.string()))}}
+            if self._keyed:
+                new["wid"] = pa.array(wids, pa.int64())
+            self._append(pa.table(new, schema=self.log.schema), wm0)
         out: list[dict] = []
-        self._drain_log(out, wm0, self.watermark)
-        self._drain(out)
-        out.sort(key=_emit_order)
+        if self._keyed:
+            self._drain_keyed(out, closed, self.watermark - cfg.gap_us)
+        else:
+            self._drain_log(out, wm0, self.watermark)
+            self._drain(out)
+        self._sort(out)
         return out
+
+    def _session_of(self, conv: str, ts: int, closed: dict) -> int:
+        """Session ordinal of an accepted row; a row more than ``gap_us``
+        past its conv's open session closes it and opens the next one.
+        Ordinals restart at 0 when a conv has no open session: a closed
+        session leaves the engine in the call that closes it."""
+        st = self.open_sessions.get(conv)
+        if st is not None and ts - st[2] <= self.cfg.gap_us:
+            st[1], st[2] = min(st[1], ts), max(st[2], ts)
+            return st[0]
+        o = 0
+        if st is not None:
+            closed[(conv, st[0])] = (st[1], st[2])
+            o = st[0] + 1
+        self.open_sessions[conv] = [o, ts, ts]
+        return o
+
+    def _chunk_of(self, conv: str, ts: int, closed: dict) -> int:
+        """First turn offset of an accepted row's count chunk; the row
+        that fills a chunk closes it."""
+        k = self.count_rows.get(conv, 0)
+        start = k - k % self.cfg.count_turns
+        self.count_rows[conv] = k + 1
+        if (k + 1) % self.cfg.count_turns == 0:
+            closed[(conv, start)] = (start, k + 1)
+        return start
 
     def _memberships(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, window start) of every window covering each of ``ts``,
@@ -779,10 +773,16 @@ class StreamEngine:
         return sliding_starts_expand(ts, cfg.size_us, cfg.step_us,
                                      cfg.offset_us)
 
-    def _windows_of(self, t: pa.Table):
-        """``_memberships`` of a log table's rows, plus each membership's
-        conv_id."""
-        r, s = self._memberships(t["ts"].to_numpy())
+    def _windows_of(self, t: pa.Table, wm: int):
+        """(row, window start or id, conv_id) of every membership of a log
+        table's rows in a window not yet emitted at watermark ``wm``, in
+        row order."""
+        if self._keyed:
+            r, s = np.arange(t.num_rows), t["wid"].to_numpy()
+        else:
+            r, s = self._memberships(t["ts"].to_numpy())
+            live = s + self.cfg.size_us > wm
+            r, s = r[live], s[live]
         return r, s, np.asarray(t["conv_id"].to_pylist(), dtype=object)[r]
 
     def _add_costs(self, conv, starts, cost) -> tuple[list, set]:
@@ -806,7 +806,7 @@ class StreamEngine:
         """Log the accepted rows ``new``; a window whose buffered cost
         passes ``KGRAM_CAP`` is promoted to an accumulator, and rows of
         promoted windows go to theirs."""
-        r, s, conv = self._windows_of(new)
+        r, s, conv = self._windows_of(new, wm0)
         to_acc, over = self._add_costs(conv, s, (1 + _text_bytes(new))[r])
         if to_acc:
             # a row whose every window is promoted stays out of the log
@@ -827,25 +827,83 @@ class StreamEngine:
         accumulator, in arrival order, and drop the log rows whose
         unemitted windows are all promoted."""
         cfg, log = self.cfg, self.log
-        r, s, conv = self._windows_of(log)
+        r, s, conv = self._windows_of(log, wm0)
         for key in keys:
             acc = _WindowAcc()
             mine = r[(conv == key[0]) & (s == key[1])]
             for v in _row_values(log.take(mine)):
                 acc.add(*v, cfg)
             self.open[key] = acc
-            heapq.heappush(self.heap, (key[1] + cfg.size_us, *key))
+            if not self._keyed:
+                heapq.heappush(self.heap, (key[1] + cfg.size_us, *key))
             del self._log_cost[key]
             self.metrics.windows_promoted += 1
         live = np.fromiter((k not in self.open for k in zip(conv, s.tolist())),
                            dtype=bool, count=len(r))
-        live &= s + cfg.size_us > wm0
         self.log = log.filter(np.bincount(r[live], minlength=log.num_rows) > 0)
 
+    def _emit(self, out: list[dict], r: np.ndarray, w: np.ndarray,
+              bounds: dict | None = None) -> None:
+        """Emit the log windows of the memberships (log row ``r``, window
+        ``w``; all of each window's), in whole-window kernel calls of about
+        ``_CHUNK_CHARS``; ``bounds`` gives keyed windows' (start, end)."""
+        cfg, log = self.cfg, self.log
+        codes = log["conv_id"].combine_chunks().dictionary_encode() \
+            .indices.to_numpy().astype(np.int64)[r]
+        # stable: a window's rows stay in arrival order
+        order = np.lexsort((w, codes))
+        r, w, codes = r[order], w[order], codes[order]
+        t = log.take(r).append_column("window_start", pa.array(w))
+        if not self._keyed:
+            t = t.append_column("window_end", pa.array(w + cfg.size_us))
+        first = np.r_[True, (codes[1:] != codes[:-1]) | (w[1:] != w[:-1])]
+        heads = np.flatnonzero(first)
+        keys = list(zip(t["conv_id"].take(heads).to_pylist(),
+                        w[heads].tolist()))
+        custom = (dict(zip(keys, self._fold_custom(t, heads)))
+                  if cfg.custom_aggs else None)
+        for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
+                                  _CHUNK_CHARS):
+            for row in _emitted_rows(self._stats.table(t.slice(a, b - a))):
+                key = (row["conv_id"], row["window_start"])
+                if custom is not None:
+                    row.update(custom[key])
+                out.append(self._finish(row, key, bounds))
+        for key in keys:
+            self._log_cost.pop(key, None)
+
+    def _fold_custom(self, t: pa.Table, heads: np.ndarray) -> list[dict]:
+        """``custom_aggs`` folded over each window of ``t`` (its rows from
+        ``heads`` on, grouped by window, in arrival order within one)."""
+        from ..functions import registry
+        aggs = [registry.get(n) for n in self.cfg.custom_aggs]
+        rows = [dict(zip(("ts", "turn_uid", "role", "text", "tool"), v))
+                for v in _row_values(t)]
+        out = []
+        for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(rows)]):
+            st = [agg.init() for agg in aggs]
+            for row in rows[a:b]:
+                for agg, x in zip(aggs, st):
+                    agg.add(x, row)
+            out.append({agg.name: agg.emit(x) for agg, x in zip(aggs, st)})
+        return out
+
+    def _finish(self, row: dict, key: tuple, bounds: dict | None) -> dict:
+        """Count an emitted window; a keyed window's row gets its kind's
+        (start, end) columns from ``bounds`` for the window columns."""
+        if self.cfg.kind == "session":
+            self.metrics.sessions_emitted += 1
+        else:
+            self.metrics.windows_emitted += 1
+        if self._keyed:
+            s, e = _BOUNDS[self.cfg.kind]
+            row[s], row[e] = bounds[key]
+            del row["window_start"], row["window_end"], row["last_ts"]
+        return row
+
     def _drain_log(self, out: list[dict], lo: int, hi: int) -> None:
-        """Emit every log window with ``lo < window_end <= hi``, in
-        whole-window chunks of about ``_CHUNK_CHARS`` per kernel call, and
-        drop the rows whose newest window is among them."""
+        """Emit every tumbling/sliding log window with ``lo < window_end
+        <= hi``, and drop the rows whose newest window is among them."""
         cfg, log = self.cfg, self.log
         if not log.num_rows:
             return
@@ -862,95 +920,41 @@ class StreamEngine:
             due &= np.fromiter(((conv[i], w) not in self.open for i, w
                                 in zip(r.tolist(), s.tolist())),
                                dtype=bool, count=len(r))
-        r, s = r[due], s[due]
-        if len(r):
-            codes = log["conv_id"].combine_chunks().dictionary_encode() \
-                .indices.to_numpy().astype(np.int64)[r]
-            order = np.lexsort((s, codes))
-            r, s, codes = r[order], s[order], codes[order]
-            t = log.take(r).append_column("window_start", pa.array(s)) \
-                .append_column("window_end", pa.array(s + size))
-            first = np.r_[True, (codes[1:] != codes[:-1]) | (s[1:] != s[:-1])]
-            for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
-                                      _CHUNK_CHARS):
-                rows = _emitted_rows(self._stats.table(t.slice(a, b - a)))
-                self.metrics.windows_emitted += len(rows)
-                out.extend(rows)
-            w = np.flatnonzero(first)
-            for key in zip(t["conv_id"].take(w).to_pylist(), s[w].tolist()):
-                self._log_cost.pop(key, None)
+        if due.any():
+            self._emit(out, r[due], s[due])
         newest = tumbling_start(ts, step, off) + size
         if (newest <= hi).any():
             self.log = log.filter(newest > hi).combine_chunks()
 
-    def _ingest_session(self, conv: str, ts: int, uid: int, role: str,
-                        text: str, tool: str, out: list[dict], stats=None):
-        """Gap sessions close EAGERLY on the first gap-exceeding arrival
-        and fold any non-late arrival into the currently-open session —
-        correct iff rows arrive per-conv ts-ordered, which is the
-        session contract (same as ``_ingest_count``; the Dataset replay
-        path sorts by (ts, turn_uid), and the batch twin
-        ``windows.session_ids`` defines the semantics over sorted ts).
-        An out-of-order-but-in-lateness row would join the WRONG session
-        here (the open one, even across a backward gap) — watermark-
-        deferred session close would need per-row buffering until
-        last_ts + gap passes the watermark, a different memory contract;
-        disordered streams should route through the sorted replay or the
-        batch session paths (stages/sessions.py, stages/salted.py)."""
-        st = self.sessions.get(conv)
-        if st is not None and ts - st[1] > self.cfg.gap_us:
-            out.append(self._session_row(conv, st))
-            st = None
-        if st is None:
-            st = self.sessions[conv] = [ts, ts, _WindowAcc()]
-        st[0] = min(st[0], ts)
-        st[1] = max(st[1], ts)
-        st[2].add(ts, uid, role, text, tool, self.cfg, stats)
+    def _drain_keyed(self, out: list[dict], closed: dict,
+                     before: int) -> None:
+        """Close the open sessions whose last ts is below ``before``, and
+        emit the closed keyed windows ``closed`` ((conv_id, window id) ->
+        (start, end)), from the log or from promoted accumulators."""
+        for conv in [c for c, st in self.open_sessions.items()
+                     if st[2] < before]:
+            o, first, last = self.open_sessions.pop(conv)
+            closed[(conv, o)] = (first, last)
+        if not closed:
+            return
+        wid = self.log["wid"].to_numpy()
+        due = np.fromiter((k in closed for k in zip(
+            self.log["conv_id"].to_pylist(), wid.tolist())), bool, len(wid))
+        if due.any():
+            self._emit(out, np.flatnonzero(due), wid[due], closed)
+            self.log = self.log.filter(~due)
+        for key in sorted(closed):
+            acc = self.open.pop(key, None)
+            if acc is not None:
+                if acc.kg_spill is not None:
+                    self.metrics.kgram_spills += 1
+                out.append(self._finish(acc.finalize(key[0], 0, 0, self.cfg),
+                                        key, closed))
 
-    def _ingest_count(self, conv: str, ts: int, uid: int, role: str,
-                      text: str, tool: str, out: list[dict], stats=None):
-        """Count windows (reference analogue: fw.rs:83
-        ``seq.chunks(window_size)`` over turn position; Flink
-        countWindow): every ``count_turns`` arrivals per conv emit one
-        window immediately — no watermark involved. Rows must arrive in
-        the intended order per conv (the Dataset replay path sorts by
-        (ts, turn_uid); see turn_window_counts for the vectorized twin)."""
-        st = self.count_bufs.get(conv)
-        if st is None:
-            st = self.count_bufs[conv] = [0, _WindowAcc(), 0]
-        st[1].add(ts, uid, role, text, tool, self.cfg, stats)
-        st[2] += 1
-        if st[2] >= self.cfg.count_turns:
-            out.append(self._count_row(conv, st))
-            st[0] += 1
-            st[1] = _WindowAcc()
-            st[2] = 0
-
-    def _count_row(self, conv: str, st: list) -> dict:
-        """Positional window bounds: win_end clamps to the true turn
-        count for the trailing partial (the reference's issues #8/#9
-        end-clamp, re-expressed over turn offsets)."""
-        if st[1].kg_spill is not None:
-            self.metrics.kgram_spills += 1
-        row = st[1].finalize(conv, 0, 0, self.cfg)
-        start = st[0] * self.cfg.count_turns
-        row["win_start"] = start
-        row["win_end"] = start + st[2]
-        del row["window_start"], row["window_end"], row["last_ts"]
-        self.metrics.windows_emitted += 1
-        return row
-
-    def _session_row(self, conv: str, st: list) -> dict:
-        """Full stats over the session's turns; session bounds are the
-        observed first/last ts (gap-based windows have no fixed size)."""
-        self.metrics.sessions_emitted += 1
-        if st[2].kg_spill is not None:
-            self.metrics.kgram_spills += 1
-        row = st[2].finalize(conv, st[0], st[1], self.cfg)
-        row["session_start"] = row.pop("window_start")
-        row["session_end"] = row.pop("window_end")
-        del row["last_ts"]
-        return row
+    def _sort(self, out: list[dict]) -> None:
+        """Emission order: (end, conv_id, start)."""
+        s, e = _BOUNDS.get(self.cfg.kind, ("window_start", "window_end"))
+        out.sort(key=lambda row: (row[e], row["conv_id"], row[s]))
 
     def _finalize_row(self, conv: str, s: int, end: int,
                       acc: _WindowAcc, pane: bool = False) -> dict:
@@ -976,6 +980,8 @@ class StreamEngine:
         return row
 
     def _drain(self, out: list[dict]):
+        """Emit the accumulator windows whose end the watermark passed,
+        and drop retained ones past their retention."""
         cfg = self.cfg
         retain = cfg.emit == "updates" and cfg.retention_us > 0
         while self.heap and self.heap[0][0] <= self.watermark:
@@ -1003,43 +1009,27 @@ class StreamEngine:
             if self.open.pop((conv, s), None) is not None:
                 self.metrics.windows_expired += 1
             self.revisions.pop((conv, s), None)
-        # GC scans iterate every conv key, and _drain runs per watermark
-        # advance (≈ per row) — unthrottled this was O(rows × convs),
-        # 35% of engine wall (round-2 profile). Throttle: correctness is
-        # unaffected (pruning is an optimization; delayed session close
-        # still happens before flush, and emission only requires the
-        # watermark to have passed the gap).
-        self._drains += 1
-        # (dedup-state pruning happens amortized per-conv at insert time
-        # — _prune_seen — not here: a per-drain scan of every conv was
-        # the round-2 O(rows x convs) hidden quadratic)
-        # session GC: close sessions whose gap has definitively elapsed
-        if cfg.kind == "session" and (self._drains & 63) == 0:
-            stale = [c for c, st in self.sessions.items()
-                     if self.watermark - st[1] > cfg.gap_us]
-            for c in stale:
-                out.append(self._session_row(c, self.sessions.pop(c)))
 
     # -- end of stream ------------------------------------------------------
 
     def flush(self) -> list[dict]:
         """Close every remaining window/session (input exhausted)."""
         out: list[dict] = []
-        self._drain_log(out, self.watermark, np.iinfo(np.int64).max)
-        while self.heap:
-            end, conv, s = heapq.heappop(self.heap)
-            acc = self.open.pop((conv, s), None)
-            if acc is None:
-                continue
-            out.append(self._finalize_row(conv, s, end, acc))
-        if self._log_mode:
-            out.sort(key=_emit_order)
-        for conv in sorted(self.sessions):
-            out.append(self._session_row(conv, self.sessions.pop(conv)))
-        for conv in sorted(self.count_bufs):   # trailing partial chunks
-            st = self.count_bufs.pop(conv)
-            if st[2] > 0:
-                out.append(self._count_row(conv, st))
+        if self._keyed:
+            n = self.cfg.count_turns      # partial count chunks
+            closed = {(c, k - k % n): (k - k % n, k)
+                      for c, k in self.count_rows.items() if k % n}
+            self.count_rows = {}
+            self._drain_keyed(out, closed, np.iinfo(np.int64).max)
+        else:
+            self._drain_log(out, self.watermark, np.iinfo(np.int64).max)
+            while self.heap:
+                end, conv, s = heapq.heappop(self.heap)
+                acc = self.open.pop((conv, s), None)
+                if acc is None:
+                    continue
+                out.append(self._finalize_row(conv, s, end, acc))
+        self._sort(out)
         return out
 
     # -- checkpoint ---------------------------------------------------------
@@ -1049,11 +1039,11 @@ class StreamEngine:
             "cfg": self.cfg, "partition_id": self.partition_id,
             "watermark": self.watermark, "max_ts": self.max_ts,
             "open": self.open, "heap": self.heap,
-            "sessions": self.sessions, "seen_uids": self.seen_uids,
+            "open_sessions": self.open_sessions,
+            "count_rows": self.count_rows, "seen_uids": self.seen_uids,
             "metrics": self.metrics,
             "revisions": self.revisions, "ret_heap": self.ret_heap,
-            "count_bufs": self.count_bufs, "since_fire": self._since_fire,
-            "log": self.log,
+            "since_fire": self._since_fire, "log": self.log,
         })
 
     @classmethod
@@ -1062,19 +1052,28 @@ class StreamEngine:
         eng = cls(d["cfg"], d["partition_id"])
         eng.watermark, eng.max_ts = d["watermark"], d["max_ts"]
         eng.open, eng.heap = d["open"], d["heap"]
-        eng.sessions, eng.seen_uids = d["sessions"], d["seen_uids"]
+        eng.seen_uids = d["seen_uids"]
         # older snapshots lack the newer counters and the row log
         eng.metrics = Metrics(**vars(d["metrics"]))
         eng.revisions = d.get("revisions", {})
         eng.ret_heap = d.get("ret_heap", [])
-        eng.count_bufs = d.get("count_bufs", {})
         eng._since_fire = d.get("since_fire", {})
-        if eng._log_mode and "log" in d:
+        eng.open_sessions = d.get("open_sessions", {})
+        eng.count_rows = d.get("count_rows", {})
+        # sessions and count chunks of a snapshot from before they used
+        # the row log continue as promoted windows
+        for conv, (first, last, acc) in d.get("sessions", {}).items():
+            eng.open_sessions[conv] = [0, first, last]
+            eng.open[(conv, 0)] = acc
+        for conv, (k, acc, n) in d.get("count_bufs", {}).items():
+            start = k * eng.cfg.count_turns
+            eng.count_rows[conv] = start + n
+            if n:
+                eng.open[(conv, start)] = acc
+        if eng._log_mode and d.get("log") is not None and d["log"].num_rows:
             eng.log = d["log"]
-            r, s, conv = eng._windows_of(eng.log)
-            live = s + eng.cfg.size_us > eng.watermark
-            eng._add_costs(conv[live], s[live],
-                           (1 + _text_bytes(eng.log))[r][live])
+            r, s, conv = eng._windows_of(eng.log, eng.watermark)
+            eng._add_costs(conv, s, (1 + _text_bytes(eng.log))[r])
         return eng
 
 
@@ -1088,15 +1087,8 @@ def emitted_to_frame(rows: list[dict], kind: str,
     per-column lists: pandas' nested-dict inference profiled at 22% of
     replay wall). Timestamp columns arrive as int64 epoch-us from
     ``finalize`` and convert in one vectorized view here."""
-    if kind == "session":
-        base = ["conv_id", "session_start", "session_end", "n_turns"]
-        if rows and len(rows[0]) > len(base):
-            cols = base + [c for c in STATS_COLUMNS
-                           if c in rows[0] and c not in base] + list(extra_cols)
-        else:
-            cols = base
-    elif kind == "count":
-        base = ["conv_id", "win_start", "win_end", "n_turns"]
+    if kind in _BOUNDS:
+        base = ["conv_id", *_BOUNDS[kind], "n_turns"]
         cols = base + [c for c in STATS_COLUMNS
                        if rows and c in rows[0] and c not in base] \
             + list(extra_cols)

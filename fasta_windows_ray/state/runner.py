@@ -63,6 +63,16 @@ def latest_revision(df: pd.DataFrame,
              .reset_index(drop=True)
 
 
+def _replay(df: pd.DataFrame, cfg: WindowConfig,
+            partition_id: int = 0) -> tuple[StreamEngine, list[dict]]:
+    """One engine fed ``df`` sorted by (ts, turn_uid | turn_idx), then
+    flushed: the engine and every row it emitted."""
+    order = ["ts"] + [c for c in ("turn_uid", "turn_idx") if c in df.columns]
+    eng = StreamEngine(cfg, partition_id)
+    rows = eng.process_rows(df.sort_values(order, kind="stable"))
+    return eng, rows + eng.flush()
+
+
 def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
                         slab_windows: int | None = 4096):
     """Dataset path: (bucket × time-slab) shuffle → per-group stream
@@ -73,9 +83,9 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
     The batch window kinds (``window_stats``, ``session_stats``,
     ``turn_window_counts``, ``salted_session_stats``) compute their stats
     with ``BucketWindowStats``; this replay runs the stream engine
-    (watermarks, late/dup drops, and the same kernel for final-mode
-    tumbling/sliding windows), and is what the parity tests hold the
-    engine to the batch path with."""
+    (watermarks, late/dup drops, and the same kernel for every
+    final-mode window), and is what the parity tests hold the engine to
+    the batch path with."""
     slabbed = cfg.kind in ("tumbling", "sliding") and bool(slab_windows)
     if slabbed:
         ds, slab_l = add_bucket_slab(
@@ -88,13 +98,8 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
         group_key = "bucket"
 
     def replay_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        order = ["ts"] + [c for c in ("turn_uid", "turn_idx")
-                          if c in df.columns]
-        df = df.sort_values(order, kind="stable").reset_index(drop=True)
-        eng = StreamEngine(cfg)
-        rows = eng.process_rows(df)
-        rows.extend(eng.flush())
-        out = emitted_to_frame(rows, cfg.kind, _extra_cols(cfg))
+        out = emitted_to_frame(_replay(df, cfg)[1], cfg.kind,
+                               _extra_cols(cfg))
         if slabbed and len(out):
             # sliding duplicates boundary rows into the previous slab;
             # the engine emits every covering window, so keep only the
@@ -116,12 +121,7 @@ def stateful_metrics(ds, cfg: WindowConfig, num_buckets: int = 64):
     ds = add_bucket(ds, num_buckets)
 
     def replay_metrics(df: pd.DataFrame) -> pd.DataFrame:
-        order = ["ts"] + [c for c in ("turn_uid", "turn_idx")
-                          if c in df.columns]
-        df = df.sort_values(order, kind="stable").reset_index(drop=True)
-        eng = StreamEngine(cfg, int(df["bucket"].iloc[0]) if len(df) else 0)
-        eng.process_rows(df)
-        eng.flush()
+        eng, _ = _replay(df, cfg, int(df["bucket"].iloc[0]) if len(df) else 0)
         m = eng.metrics.as_dict()
         m["partition"] = eng.partition_id
         return pd.DataFrame([m])

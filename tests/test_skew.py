@@ -134,7 +134,7 @@ def test_salted_session_full_stats_equal_engine(ray_session):
     b = canon(emitted_to_frame(rows, "session"))
     a, b = a[sorted(a.columns)], b[sorted(b.columns)]
     assert list(a.columns) == list(b.columns)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
     # non-vacuous: the hot conv produced multiple sessions with text stats
     assert len(a) > 10 and (a["char_entropy"] > 0).any()
     assert (a["ctw_roles_bpb"] > 0).any()
@@ -169,7 +169,7 @@ def test_salted_session_stats_null_cells_match_engine(ray_session):
     rows = eng.process_rows(pdf) + eng.flush()
     b = canon(emitted_to_frame(rows, "session"))
     a, b = a[sorted(a.columns)], b[sorted(b.columns)]
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
     # the null text contributed 0 chars, and null tool is unmasked
     r = a[a["conv_id"] == "c1"].iloc[0]
     assert r["n_chars"] == len("hello there") + len("world")

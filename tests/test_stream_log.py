@@ -1,21 +1,26 @@
 """Row-log stream engine gates: output independent of how the input is
-split into calls, drains cut into whole-window kernel calls, the
-over-cap fallback to an accumulator, old snapshots, and partition
-routing."""
+split into calls (every final-mode window kind, custom aggregates in
+arrival order), drains cut into whole-window kernel calls, the over-cap
+fallback to an accumulator, old snapshots, and partition routing."""
 
 import pickle
 import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
+from fasta_windows_ray.functions import registry
+from fasta_windows_ray.stages.sessions import assign_sessions
 from fasta_windows_ray.stages.window_stats import (_CHUNK_CHARS,
                                                    BucketWindowStats)
-from fasta_windows_ray.state.engine import (KGRAM_CAP, StreamEngine,
-                                            WindowConfig, _WindowAcc,
+from fasta_windows_ray.state.engine import (_BOUNDS, KGRAM_CAP,
+                                            StreamEngine, WindowConfig,
+                                            _emitted_rows, _WindowAcc,
                                             emitted_to_frame)
 from fasta_windows_ray.state.runner import partition_of
+from fasta_windows_ray.windows import count_window_bounds
 
 S = 1_000_000
 EPOCH = 1_700_000_000 * S
@@ -24,24 +29,27 @@ LATENESS = 5 * S
 
 def _ooo_stream(seed: int = 3, n: int = 260):
     """Out-of-order rows with planted late rows (below the watermark the
-    earlier rows set) and duplicates (replays of a live accepted row)."""
+    earlier rows set) and duplicates (replays of a live accepted row).
+    Returns the rows and the masks of the planted late and duplicate
+    rows."""
     rng = np.random.default_rng(seed)
     words = np.array(["ab", "cd", "é", "xyz", '"k', " ", "q"])
-    rows, accepted = [], []
+    rows, accepted, late, dup = [], [], [], []
     run_max = None
-    n_late = n_dup = 0
     for i in range(n):
         wm = None if run_max is None else run_max - LATENESS
         kind = rng.random()
         if i > 20 and kind < 0.06:
             rows.append({**rows[accepted[-int(rng.integers(1, 4))]]})
             if rows[-1]["ts"] >= wm:
-                n_dup += 1
+                late.append(False)
+                dup.append(True)
                 continue
             rows.pop()                       # replay of a late-judged row
-        if i > 20 and kind > 0.94:
+        late.append(i > 20 and kind > 0.94)
+        dup.append(False)
+        if late[-1]:
             ts = wm - int(rng.integers(1, 20 * S))
-            n_late += 1
         else:
             ts = EPOCH + i * S // 3 - int(rng.integers(0, LATENESS // 2))
             if wm is not None and ts < wm:
@@ -59,7 +67,7 @@ def _ooo_stream(seed: int = 3, n: int = 260):
             run_max = ts if run_max is None else max(run_max, ts)
     df = pd.DataFrame(rows)
     df["ts"] = df["ts"].to_numpy().astype("datetime64[us]")
-    return df, n_late, n_dup
+    return df, np.array(late), np.array(dup)
 
 
 def _feed(cfg, df, cuts, snap_at=None):
@@ -74,37 +82,98 @@ def _feed(cfg, df, cuts, snap_at=None):
     return out, eng.metrics.as_dict()
 
 
-def _canon(rows, kind):
-    return emitted_to_frame(rows, kind).sort_values(
-        ["conv_id", "window_start"]).reset_index(drop=True)
+_START = {k: v[0] for k, v in _BOUNDS.items()}
+
+
+def _canon(rows, kind, extra=()):
+    return emitted_to_frame(rows, kind, extra).sort_values(
+        ["conv_id", _START.get(kind, "window_start")]).reset_index(drop=True)
+
+
+def _hash_add(st, row):
+    st[0] = (st[0] * 31 + row["turn_uid"] + 1) % 1_000_003
+
+
+def _no_evict(st, row):
+    raise NotImplementedError
+
+
+@pytest.fixture
+def arrival_hash():
+    """An order-sensitive custom aggregate: a hash of the window's turn
+    uids in the order they were folded."""
+    registry.register(registry.WindowAggregate(
+        "arrival_hash", lambda: [0], _hash_add, _no_evict,
+        lambda st: float(st[0])))
+    yield
+    registry.unregister("arrival_hash")
+
+
+AGGS = ("total_text_chars", "distinct_tools", "arrival_hash")
 
 
 @pytest.mark.parametrize("cfg", [
     WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS),
     WindowConfig(kind="sliding", size_us=6 * S, step_us=2 * S,
-                 lateness_us=LATENESS, ctw_text=True)],
-    ids=["tumbling", "sliding"])
-def test_output_independent_of_batch_split(cfg):
+                 lateness_us=LATENESS, ctw_text=True),
+    WindowConfig(kind="session", gap_us=2 * S, lateness_us=LATENESS,
+                 ctw_text=True),
+    WindowConfig(kind="count", count_turns=4, lateness_us=LATENESS),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 custom_aggs=AGGS)],
+    ids=["tumbling", "sliding", "session", "count", "custom_aggs"])
+def test_output_independent_of_batch_split(cfg, arrival_hash, monkeypatch):
     """One call, one row per call and random splits with a snapshot and
-    restore at one split emit the same rows on every column, and the
-    late/dup counters equal the plants."""
-    df, n_late, n_dup = _ooo_stream()
+    restore at one split emit the same rows on every column, with equal
+    counters; the late/dup counters equal the plants (count windows take
+    late rows), and no row goes through an accumulator."""
+    adds = []
+    real_add = _WindowAcc.add
+    monkeypatch.setattr(_WindowAcc, "add",
+                        lambda *a, **k: adds.append(1) or real_add(*a, **k))
+    df, late, dup = _ooo_stream()
+    assert late.sum() > 0 and dup.sum() > 0
     ref, ref_m = _feed(cfg, df, [])
-    assert ref_m["late_dropped"] == n_late > 0
-    assert ref_m["dup_dropped"] == n_dup > 0
-    want = _canon(ref, cfg.kind)
-    assert not want.duplicated(["conv_id", "window_start"]).any()
+    assert ref_m["late_dropped"] == (0 if cfg.kind == "count"
+                                     else late.sum())
+    assert ref_m["dup_dropped"] == dup.sum()
+    extra = cfg.custom_aggs
+    want = _canon(ref, cfg.kind, extra)
+    assert not want.duplicated(["conv_id", _START.get(cfg.kind,
+                                                      "window_start")]).any()
     rng = np.random.default_rng(9)
     cuts = sorted(rng.choice(np.arange(1, len(df)), 7, replace=False)
                   .tolist())
     for rows, m in (_feed(cfg, df, list(range(1, len(df)))),
                     _feed(cfg, df, cuts, snap_at=cuts[3])):
-        pd.testing.assert_frame_equal(_canon(rows, cfg.kind), want,
+        pd.testing.assert_frame_equal(_canon(rows, cfg.kind, extra), want,
                                       check_exact=True)
-        for k in ("rows_in", "late_dropped", "dup_dropped",
-                  "windows_emitted"):
-            assert m[k] == ref_m[k], k
-    assert ref_m["windows_emitted"] == len(want)
+        assert m == ref_m
+    emitted = "sessions_emitted" if cfg.kind == "session" \
+        else "windows_emitted"
+    assert ref_m[emitted] == len(want) and ref_m["windows_promoted"] == 0
+    assert adds == []
+    kept = df[~late & ~dup] if cfg.kind != "count" else df[~dup]
+    if cfg.kind == "count":
+        # chunks tile each conv's accepted rows in order
+        for conv, g in want.groupby("conv_id"):
+            n = (kept["conv_id"] == conv).sum()
+            assert g["win_start"].tolist() == list(range(0, n, 4))
+            assert (g["win_end"] == np.minimum(g["win_start"] + 4, n)).all()
+            assert (g["n_turns"] == g["win_end"] - g["win_start"]).all()
+    if cfg.custom_aggs:
+        # each window's aggregates fold its accepted rows in arrival order
+        start = kept["ts"].to_numpy().astype(np.int64) // cfg.size_us \
+            * cfg.size_us
+        for (conv, ws), g in kept.groupby(["conv_id", start], sort=False):
+            st = [0]
+            for u in g["turn_uid"]:
+                _hash_add(st, {"turn_uid": u})
+            row = want[(want["conv_id"] == conv) & (
+                want["window_start"] == pd.Timestamp(ws, unit="us"))]
+            assert row["arrival_hash"].tolist() == [float(st[0])]
+            assert row["total_text_chars"].tolist() == [
+                float(g["text"].fillna("").str.len().sum())]
 
 
 def test_drain_is_chunked_by_whole_windows(monkeypatch):
@@ -185,31 +254,103 @@ def test_over_cap_window_promoted_to_accumulator():
                                   rtol=1e-12, atol=1e-12)
 
 
-def test_restore_snapshot_without_row_log():
-    """A snapshot from before the row log (open windows as accumulators,
-    no ``log`` key, no ``windows_promoted`` counter) restores; its open
-    windows keep their accumulators and take the later rows."""
-    cfg = WindowConfig(kind="tumbling", size_us=10 * S)
-    rows = pd.DataFrame({
-        "conv_id": ["a"] * 6, "turn_uid": np.arange(6),
-        "role": ["user", "assistant"] * 3, "text": ["hi there"] * 6,
-        "tool": "", "ts": (EPOCH + np.arange(6) * S)
+@pytest.mark.parametrize("kind", ["session", "count"])
+def test_over_cap_keyed_window_promoted(kind):
+    """A session or count chunk whose buffered rows + text bytes pass
+    ``KGRAM_CAP`` is promoted (counted once), keeps taking rows across a
+    snapshot, and emits the batch kernel's row for its window."""
+    rng = np.random.default_rng(8)
+    n = 1800
+    df = pd.DataFrame({
+        "conv_id": ["hot"] * n + ["cold"] * 10,
+        "turn_uid": np.arange(n + 10),
+        "role": rng.choice(["user", "assistant", "tool"], n + 10),
+        "text": ["".join(rng.choice(list("abc "), 40))
+                 for _ in range(n)] + ["small"] * 10, "tool": "",
+        "ts": (EPOCH + np.r_[np.arange(n), np.arange(10)] * 1000)
         .astype("datetime64[us]")})
+    df = df.sort_values(["ts", "turn_uid"]).reset_index(drop=True)
+    cfg = (WindowConfig(kind="session", gap_us=3600 * S) if kind == "session"
+           else WindowConfig(kind="count", count_turns=1700))
     eng = StreamEngine(cfg)
-    assert eng.process_rows(rows.iloc[:3]) == []
-    d = pickle.loads(eng.snapshot())
+    out = eng.process_rows(df.iloc[:len(df) // 2])
+    eng = StreamEngine.restore(eng.snapshot())
+    out += eng.process_rows(df.iloc[len(df) // 2:]) + eng.flush()
+    assert eng.metrics.windows_promoted == 1
+    # batch reference: the same windows assigned up front, one kernel call
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    if kind == "session":
+        t = assign_sessions(t, cfg.gap_us)
+    else:
+        t = t.sort_by([("conv_id", "ascending"), ("ts", "ascending")])
+        start, end = count_window_bounds(
+            t["conv_id"].combine_chunks().dictionary_encode().indices
+            .to_numpy(), 1700)
+        t = t.append_column("window_start", pa.array(start)) \
+            .append_column("window_end", pa.array(end))
+    want = _emitted_rows(BucketWindowStats().table(t))
+    s, e = _BOUNDS[kind]
+    for row in want:
+        row[s], row[e] = row.pop("window_start"), row.pop("window_end")
+        del row["last_ts"]
+    want = _canon(want, kind)
+    got = _canon(out, kind)
+    assert len(got) == (2 if kind == "session" else 3)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  rtol=1e-12, atol=1e-12)
+
+
+def _acc(rows: pd.DataFrame, cfg) -> _WindowAcc:
     acc = _WindowAcc()
-    for r in rows.iloc[:3].itertuples():
+    for r in rows.itertuples():
         acc.add(r.ts.value // 1000, r.turn_uid, r.role, r.text, r.tool, cfg)
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["tumbling", "session", "count"])
+def test_restore_snapshot_without_row_log(kind):
+    """A snapshot from before the row log (open windows, sessions and
+    count chunks as accumulators; no ``log``, no session or count
+    positions, no ``windows_promoted`` counter) restores; its
+    accumulators keep taking rows, and the resumed output equals a fresh
+    run's."""
+    ts = EPOCH + np.array([0, 1, 2, 3, 4, 5, 6, 40, 41, 42]) * S
+    rows = pd.DataFrame({
+        "conv_id": ["a"] * 10, "turn_uid": np.arange(10),
+        "role": ["user", "assistant", "tool"] * 3 + ["user"],
+        "text": [f"hi there {i}" for i in range(10)],
+        "tool": ["", "", "grep"] * 3 + [""],
+        "ts": ts.astype("datetime64[us]")})
     start = EPOCH // (10 * S) * 10 * S
-    d.update(open={("a", start): acc}, heap=[(start + 10 * S, "a", start)])
-    del d["log"]
+    cfg = {"tumbling": WindowConfig(kind="tumbling", size_us=10 * S),
+           "session": WindowConfig(kind="session", gap_us=10 * S),
+           "count": WindowConfig(kind="count", count_turns=4)}[kind]
+    k = 6 if kind == "count" else 3
+    old = {"open": {}, "heap": [], "sessions": {}, "count_bufs": {}}
+    if kind == "tumbling":
+        old["open"] = {("a", start): _acc(rows.iloc[:3], cfg)}
+        old["heap"] = [(start + 10 * S, "a", start)]
+    elif kind == "session":        # an open session of 3 rows
+        old["sessions"] = {"a": [ts[0], ts[2], _acc(rows.iloc[:3], cfg)]}
+    else:                          # chunk 1 holds 2 of its 4 rows
+        old["count_bufs"] = {"a": [1, _acc(rows.iloc[4:6], cfg), 2]}
+    eng = StreamEngine(cfg)
+    out = eng.process_rows(rows.iloc[:k])
+    d = pickle.loads(eng.snapshot())
+    for key in ("log", "open_sessions", "count_rows"):
+        del d[key]
     del d["metrics"].__dict__["windows_promoted"]
-    old = StreamEngine.restore(pickle.dumps(d))
-    assert old.metrics.as_dict()["windows_promoted"] == 0
-    out = old.process_rows(rows.iloc[3:]) + old.flush()
-    assert len(out) == 1 and out[0]["n_turns"] == 6
-    assert out[0]["n_chars"] == 6 * len("hi there")
+    d.update(old)
+    resumed = StreamEngine.restore(pickle.dumps(d))
+    assert resumed.metrics.as_dict()["windows_promoted"] == 0
+    out += resumed.process_rows(rows.iloc[k:]) + resumed.flush()
+    fresh = StreamEngine(cfg)
+    want = fresh.process_rows(rows) + fresh.flush()
+    assert resumed.metrics.as_dict() == fresh.metrics.as_dict()
+    assert len(want) == {"tumbling": 2, "session": 2, "count": 3}[kind]
+    pd.testing.assert_frame_equal(emitted_to_frame(out, kind),
+                                  emitted_to_frame(want, kind),
+                                  rtol=1e-12, atol=1e-12)
 
 
 def test_partition_of_equals_per_row_crc32():
