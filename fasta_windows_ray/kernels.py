@@ -720,7 +720,7 @@ def _log2_mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mx + np.log(ta + tb) / LN2
 
 
-def _ctw_chunk(sym, offsets, max_depth):
+def _ctw_chunk(sym, offsets, max_depth, kt):
     n_win = len(offsets) - 1
     lens = np.diff(offsets)
     wid = _window_ids(offsets)
@@ -741,7 +741,7 @@ def _ctw_chunk(sym, offsets, max_depth):
     if max_depth >= 0:
         np.minimum(ctx_len, max_depth, out=ctx_len)
     sym64 = sym.astype(np.int64)
-    kt_num, kt_den = _kt_tables(int(n_eff.max()))
+    kt_num, kt_den = kt
     # node[i] is the id of the depth-d node symbol i visits. A depth-d key
     # is the parent's id times 4 plus the symbol d steps back; ids are the
     # keys' dense ranks, so keys stay below 4x the symbol count at any depth
@@ -820,7 +820,11 @@ def ctw_batch(sym: np.ndarray, offsets, max_depth: int = 6) -> np.ndarray:
     a time. Values equal the scalar kernel's to ~1e-14 (summation order);
     ``tests/test_ctw_batch.py`` holds them to 1e-12.
     """
-    return _chunked(_ctw_chunk, sym, offsets, max_depth)
+    # one pair of KT tables for the call, sized for its longest window; a
+    # shorter table is a prefix of a longer one (sequential cumsums)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    kt = _kt_tables(int(np.diff(offsets).max(initial=0)))
+    return _chunked(_ctw_chunk, sym, offsets, max_depth, kt)
 
 
 def reverse_complement(seq: str) -> str:

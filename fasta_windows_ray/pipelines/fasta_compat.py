@@ -21,6 +21,8 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import kernels as K
 from ..sources.fasta import read_fasta
@@ -29,28 +31,66 @@ from ..sources.fasta import read_fasta
 _ORDER = ["range_start", "range_index"]     # file order of the records
 
 
-def _windows(df: pd.DataFrame, window_size: int):
-    """The records of a batch back to back as one uint8 buffer, cut into
+def _windows(tbl: pa.Table, window_size: int):
+    """The records of a block back to back as one uint8 buffer, cut into
     windows: (buf, offsets, record of each window, start, end).
 
     Windows tile each record from 0 with the last one clamped to the
     record end (fw.rs:73-79, 130-144); positions are byte offsets, as in
-    the reference, which reads records as bytes.
+    the reference, which reads records as bytes. ``buf`` is a view of the
+    ``seq`` column's UTF-8 data, not a copy.
     """
-    seqs = [s.encode() for s in df["seq"]]
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    seq = tbl.column("seq").combine_chunks().cast(pa.large_string())
+    _, offs, data = seq.buffers()
+    bounds = np.frombuffer(offs, dtype=np.int64)[
+        seq.offset:seq.offset + len(seq) + 1]
+    buf = np.frombuffer(data, dtype=np.uint8)[bounds[0]:bounds[-1]]
+    bounds = bounds - bounds[0]
+    lens = np.diff(bounds)
     n_win = -(-lens // window_size)
-    rec = np.repeat(np.arange(len(seqs)), n_win)
+    rec = np.repeat(np.arange(len(lens)), n_win)
     first = np.cumsum(n_win) - n_win
     start = (np.arange(len(rec)) - first[rec]) * window_size
     end = np.minimum(start + window_size, lens[rec])
-    buf = np.frombuffer(b"".join(seqs), dtype=np.uint8)
-    offsets = np.append(np.cumsum(lens)[rec] - lens[rec] + start, len(buf))
+    offsets = np.append(bounds[:-1][rec] + start, len(buf))
     return buf, offsets, rec, start, end
 
 
-def _order(df: pd.DataFrame, rec: np.ndarray) -> dict:
-    return {c: df[c].to_numpy()[rec] for c in _ORDER}
+def _order(tbl: pa.Table, rec: np.ndarray) -> dict:
+    return {c: tbl.column(c).take(rec) for c in _ORDER}
+
+
+def _lists(counts: np.ndarray) -> pa.FixedSizeListArray:
+    """A (windows, k) count matrix as a fixed-size list column, zero-copy."""
+    flat = np.ascontiguousarray(counts).reshape(-1)
+    return pa.FixedSizeListArray.from_arrays(flat, counts.shape[1])
+
+
+def _collect(ds, per_batch, keys) -> pa.Table | None:
+    """Run the plan once and sort its Arrow blocks on ``keys`` (a stable
+    sort); None when no block has a row. Blocks arrive in any order.
+
+    ``Dataset.to_arrow_refs`` is not used: it asks for the schema after
+    execution, and on a lazy plan that runs the whole plan again.
+    """
+    blocks = [b for b in ds.map_batches(per_batch, batch_format="pyarrow")
+              .iter_batches(batch_size=None, batch_format="pyarrow")
+              if b.num_rows]
+    if not blocks:
+        return None
+    return pa.concat_tables(blocks).sort_by([(k, "ascending") for k in keys]) \
+        .drop_columns(_ORDER)
+
+
+def _frame(tbl: pa.Table) -> pd.DataFrame:
+    """The caller's frame: fixed-size list columns become Python lists."""
+    def column(col):
+        if pa.types.is_fixed_size_list(col.type):
+            return col.combine_chunks().flatten().to_numpy() \
+                .reshape(len(col), col.type.list_size).tolist()
+        return col.to_pandas()
+    return pd.DataFrame({c: column(col)
+                         for c, col in zip(tbl.column_names, tbl.columns)})
 
 
 def fasta_windows(fasta_path: str, window_size: int = 1000,
@@ -58,22 +98,28 @@ def fasta_windows(fasta_path: str, window_size: int = 1000,
     """Main-mode pipeline: one row per (record, window), ordered by
     (id, start) — fw.rs:149-152's stable sort by id, windows in order.
 
-    Each block's windows go through the batch kernels
+    Each Arrow block's windows go through the batch kernels
     (``K.seq_stats_batch``, ``K.kgram_diversity_batch``,
-    ``K.ctw_batch``) in one call each.
+    ``K.ctw_batch``) in one call each; the block that comes back is Arrow
+    too, its four count vectors fixed-size lists over the kernels' count
+    matrices. This function runs the plan once, sorts the blocks in Arrow on
+    (id, file order, start), and only then builds the frame, with Python
+    ``list`` cells in ``nuc_counts``, ``divalues``, ``trivalues`` and
+    ``tetravalues``. A file without windows gives an empty frame with
+    columns id, desc, start and end.
     """
     ds = read_fasta(fasta_path)
 
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        buf, offsets, rec, start, end = _windows(df, window_size)
+    def per_batch(tbl: pa.Table) -> pa.Table:
+        buf, offsets, rec, start, end = _windows(tbl, window_size)
         st = K.seq_stats_batch(buf, offsets, masked=masked)
         kd = K.kgram_diversity_batch(buf, offsets)
-        desc = np.asarray([d if d else "No description." for d in df["desc"]],
-                          dtype=object)
-        return pd.DataFrame({
-            "id": df["id"].to_numpy()[rec], "desc": desc[rec],
+        desc = tbl.column("desc")
+        desc = pc.if_else(pc.equal(desc, ""), "No description.", desc)
+        return pa.table({
+            "id": tbl.column("id").take(rec), "desc": desc.take(rec),
             "start": start, "end": end,
-            "nuc_counts": st["nuc_counts"].tolist(),
+            "nuc_counts": _lists(st["nuc_counts"]),
             "gc_proportion": st["gc_proportion"], "gc_skew": st["gc_skew"],
             "at_skew": st["at_skew"], "shannon_entropy": st["shannon_entropy"],
             "ctw_bpb": (K.ctw_batch(K.DNA_CODES[buf], offsets, 6) if ctw
@@ -85,18 +131,17 @@ def fasta_windows(fasta_path: str, window_size: int = 1000,
             "dinucleotides": kd["di_diversity"],
             "trinucleotides": kd["tri_diversity"],
             "tetranucleotides": kd["tetra_diversity"],
-            "divalues": kd["di_freq"].tolist(),
-            "trivalues": kd["tri_freq"].tolist(),
-            "tetravalues": kd["tetra_freq"].tolist(),
-            **_order(df, rec),
+            "divalues": _lists(kd["di_freq"]),
+            "trivalues": _lists(kd["tri_freq"]),
+            "tetravalues": _lists(kd["tetra_freq"]),
+            **_order(tbl, rec),
         })
 
-    pdf = ds.map_batches(per_batch, batch_format="pandas").to_pandas()
-    if len(pdf) == 0 or "id" not in pdf.columns:
-        return pd.DataFrame(columns=["id", "desc", "start", "end"])
     # records of one id keep file order, as the reference's stable sort
-    return pdf.sort_values(["id", *_ORDER, "start"], kind="stable") \
-        .drop(columns=_ORDER).reset_index(drop=True)
+    tbl = _collect(ds, per_batch, ["id", *_ORDER, "start"])
+    if tbl is None:
+        return pd.DataFrame(columns=["id", "desc", "start", "end"])
+    return _frame(tbl)
 
 
 def _f32_3(x: float) -> str:
@@ -159,25 +204,29 @@ def write_outputs(entries: pd.DataFrame, out_dir: str, output: str,
 def entropy_windows(fasta_path: str, window_size: int,
                     masked: bool = False) -> pd.DataFrame:
     """Entropy-mode fast path (entropy.rs:86-156): id truncated at first
-    whitespace, 6-bin entropy + CTW(6) per window, input order."""
+    whitespace, 6-bin entropy + CTW(6) per window, input order.
+
+    Blocks are Arrow tables in and out, as in :func:`fasta_windows`; this
+    function runs the plan once and sorts the blocks in Arrow on (file
+    order, start). A file without windows gives an empty frame with the
+    five columns id, start, end, entropy and ctw.
+    """
     ds = read_fasta(fasta_path, truncate_id=True)
 
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        buf, offsets, rec, start, end = _windows(df, window_size)
-        return pd.DataFrame({
-            "id": df["id"].to_numpy()[rec], "start": start, "end": end,
+    def per_batch(tbl: pa.Table) -> pa.Table:
+        buf, offsets, rec, start, end = _windows(tbl, window_size)
+        return pa.table({
+            "id": tbl.column("id").take(rec), "start": start, "end": end,
             "entropy": K.entropy_fast_batch(buf, offsets, masked=masked),
             "ctw": K.ctw_batch(K.DNA_CODES[buf], offsets, 6),
-            **_order(df, rec),
+            **_order(tbl, rec),
         })
 
-    pdf = ds.map_batches(per_batch, batch_format="pandas").to_pandas()
-    cols = ["id", "start", "end", "entropy", "ctw"]
-    if len(pdf) == 0 or "id" not in pdf.columns:
-        return pd.DataFrame(columns=cols)
     # blocks arrive in any order; the BED is in input order
-    return pdf.sort_values([*_ORDER, "start"], kind="stable")[cols] \
-        .reset_index(drop=True)
+    tbl = _collect(ds, per_batch, [*_ORDER, "start"])
+    if tbl is None:
+        return pd.DataFrame(columns=["id", "start", "end", "entropy", "ctw"])
+    return _frame(tbl)
 
 
 def write_bed(entries: pd.DataFrame, out_dir: str, output: str) -> str:
