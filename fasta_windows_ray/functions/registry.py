@@ -6,8 +6,10 @@ quadruple (SURVEY.md §2.7):
 
     init()              -> state            (per window)
     add(state, row)     -> None             (each turn, in arrival order)
-    evict(state, row)   -> None             (exact inverse of add; no
-                                             engine path calls it)
+    evict(state, row)   -> None             (inverse of add; kept in the
+                                             signature, the engine never
+                                             calls it: windows are
+                                             computed whole)
     emit(state)         -> scalar           (at window emission)
 
 Registered aggregates run inside the stateful StreamEngine

@@ -2,38 +2,43 @@
 
 One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
 
-- a **row log** for every final-mode window (tumbling, sliding, session
-  and count, with or without ``custom_aggs``): the accepted rows, in
-  arrival order, as one Arrow table. Each ``process_rows``/``flush``
-  call finalizes every window that closed in it with the batch kernel
-  (``BucketWindowStats.table``, CTW by ``ctw_batch``), in whole-window
-  chunks of about ``_CHUNK_CHARS`` characters, and folds custom
-  aggregates over each window's rows in arrival order. A window closes:
-  tumbling/sliding, once the watermark reaches its end (a row leaves the
-  log with its newest window); session, when a row of its conv comes
-  more than ``gap_us`` after its last ts, at a call's end once the
-  watermark is more than ``gap_us`` past that ts, or at ``flush``;
-  count (a row's chunk is its rank among its conv's accepted rows //
-  ``count_turns``), once full, or at ``flush`` with a clamped end;
+- a **row log** for every window (tumbling, sliding, session and count,
+  with or without ``custom_aggs``, in both emission modes): the accepted
+  rows, in arrival order, as one Arrow table. Each
+  ``process_rows``/``flush`` call computes every window it emits with the
+  batch kernel (``BucketWindowStats.table``, CTW by ``ctw_batch``), in
+  whole-window chunks of about ``_CHUNK_CHARS`` characters, and folds
+  custom aggregates over each window's rows in arrival order. In final
+  mode a window closes: tumbling/sliding, once the watermark reaches its
+  end (a row leaves the log with its newest window); session, when a row
+  of its conv comes more than ``gap_us`` after its last ts, at a call's
+  end once the watermark is more than ``gap_us`` past that ts, or at
+  ``flush``; count (a row's chunk is its rank among its conv's accepted
+  rows // ``count_turns``), once full, or at ``flush`` with a clamped
+  end. In updates mode each emission is a **pane**: the window's log
+  rows up to the row that fires it (see ``_fire``), and a row leaves the
+  log once its newest window is ``retention_us`` past the watermark;
 - a **watermark** = max event ts seen in the partition − allowed
   lateness (derived from data, never wall clock). A row is late iff its
   ts is below the watermark set by the rows before it; late rows are
   dropped and counted (not for count windows, which follow arrival
-  order), and exact ``(turn_uid, ts)`` replays are dropped as
-  duplicates (``seen_uids``, pruned below the watermark);
+  order; in updates mode, only when no covering window is live), and
+  exact ``(turn_uid, ts)`` replays are dropped as duplicates
+  (``seen_uids``, pruned below the watermark);
 - **per-window accumulators** (``_WindowAcc``: role/char/k-gram
   histograms, with ``_BoundedKgrams`` past ``KGRAM_CAP`` distinct
-  k-grams) for updates mode and early firing, and for a log window whose
-  buffered rows plus characters pass ``KGRAM_CAP`` (it is promoted: its
-  rows fold into an accumulator, which bounds its memory, and
-  ``Metrics.windows_promoted`` counts it);
+  k-grams) only for a final-mode log window whose buffered rows plus
+  characters pass ``KGRAM_CAP`` (it is promoted: its rows fold into an
+  accumulator, which bounds its memory, and ``Metrics.windows_promoted``
+  counts it);
 - **checkpoint/resume**: ``snapshot()``/``restore()`` round-trip the whole
   state (row log, open sessions, count positions, accumulators,
-  watermark, dedup sets, metrics).
+  revisions, watermark, dedup sets, metrics).
 
-In final mode no accepted row falls into a closed window, so draining
-once per call emits exactly what draining after every row would, and
-the output does not depend on how the input is split into calls.
+Late and duplicate checks are per row, against the watermark of the
+rows before it, and so are the panes a row fires; so draining once per
+call emits exactly what draining after every row would, and the output
+does not depend on how the input is split into calls.
 
 Emission does NOT buffer: ``process_rows``/``flush`` RETURN the emitted
 rows and the engine retains no emitted history (a long-running partition
@@ -126,10 +131,10 @@ class WindowConfig:
     ctw_text: bool = False              # char-class CTW over window text
     # emission mode: "final" emits each window ONCE when the watermark
     # passes its end and drops anything later; "updates" (Flink-style
-    # allowed lateness) RETAINS the emitted window's accumulator for
-    # ``retention_us`` past its end — a late row inside retention is
-    # folded in and the window RE-EMITS immediately with ``revision``
-    # incremented (revision 0 = on-time pane). Downstream the
+    # allowed lateness) RETAINS the emitted window's log rows for
+    # ``retention_us`` past its end — a late row inside retention joins
+    # the window and it RE-EMITS immediately with ``revision``
+    # incremented (revision 0 = first pane). Downstream the
     # exactly-once sink keyed by (conv_id, window_start) upserts, so
     # the latest revision wins (state/runner.latest_revision resolves
     # replayed output). tumbling/sliding only.
@@ -142,25 +147,11 @@ class WindowConfig:
     # exactly the same way. 0 = watermark-only emission.
     early_fire_every: int = 0
 
-    def starts_for(self, ts: int):
-        """Covering window starts for an event at ``ts`` — pure int math
-        (Python ``//`` floors like the vectorized numpy path)."""
-        if self.kind == "tumbling":
-            return ((ts - self.offset_us) // self.size_us * self.size_us
-                    + self.offset_us,)
-        if self.kind == "sliding":
-            step = self.step_us
-            off = self.offset_us
-            top = (ts - off) // step * step + off
-            return [s for s in range(top, top - self.size_us, -step)
-                    if s >= off]
-        raise ValueError(self.kind)
-
 
 class _BoundedKgrams:
     """Spilled k-gram histogram with BOUNDED memory (north_rule's
-    count-min k-gram sketch): a count-min sketch (depth x width int64,
-    linear: supports evict) plus a Misra-Gries heavy-hitter table.
+    count-min k-gram sketch): a count-min sketch (depth x width int64)
+    plus a Misra-Gries heavy-hitter table.
     Created only when a window exceeds ``KGRAM_CAP`` distinct k-grams —
     below the cap the accumulator keeps an exact plain dict
     (bit-identical stats, the path every oracle-gated window takes).
@@ -208,15 +199,6 @@ class _BoundedKgrams:
             if dead:
                 hh[g] = c
 
-    def evict(self, g, c: int = 1):
-        self.total -= c
-        for d, r in enumerate(self._rows(g)):
-            self.cms[d, r] -= c         # CMS is linear: exact decrement
-        if g in self.hh:
-            self.hh[g] -= c
-            if self.hh[g] <= 0:
-                del self.hh[g]
-
     def entropy(self) -> float:
         # approximate: heavy hitters exact-ish, tail mass as one symbol
         n = self.total
@@ -229,11 +211,10 @@ class _BoundedKgrams:
 
 
 class _WindowAcc:
-    """Rolling accumulation for one open (conv_id, window_start)."""
+    """Rolling accumulation for one promoted final-mode window."""
 
     __slots__ = ("role_counts", "masked", "char_counts", "kg", "kg_spill",
-                 "big_cnt", "n_chars", "turns", "texts", "custom", "_nt",
-                 "_ts_counts")
+                 "big_cnt", "n_chars", "turns", "texts", "custom", "last_ts")
 
     def __init__(self):
         self.role_counts = [0] * 5
@@ -244,14 +225,25 @@ class _WindowAcc:
         self.big_cnt = 0
         self.n_chars = 0
         # (ts, turn_uid, role) kept ONLY when an order-dependent stat
-        # (CTW) needs the sequence; otherwise a ts->count dict so evict
-        # stays an exact inverse (last_ts included — round-2 ADVICE) while
-        # a huge window's accumulator holds ints only (round-1 VERDICT #9)
+        # (CTW) needs the sequence; otherwise a huge window's accumulator
+        # holds ints only (round-1 VERDICT #9)
         self.turns: list[tuple] | None = []
         self.texts: dict = {}           # (ts, turn_uid) -> text (ctw_text only)
         self.custom: dict | None = None # custom-aggregate states (lazy)
-        self._nt = 0
-        self._ts_counts: dict | None = None
+        self.last_ts: int | None = None     # running max ts
+
+    def __setstate__(self, state):
+        """Unpickle; an accumulator pickled before ``last_ts`` existed
+        (it kept ``_ts_counts`` and ``_nt``) takes its max ts from its
+        ``_ts_counts`` or ``turns``."""
+        slots = state[1]
+        ts_counts = slots.pop("_ts_counts", None)
+        slots.pop("_nt", None)
+        if "last_ts" not in slots:
+            slots["last_ts"] = max([*(ts_counts or ()), *(
+                t[0] for t in slots["turns"] or ())], default=None)
+        for k, v in slots.items():
+            setattr(self, k, v)
 
     @staticmethod
     def _need_seq(cfg: WindowConfig) -> bool:
@@ -263,15 +255,12 @@ class _WindowAcc:
         self.role_counts[ROLE_IDX.get(role, 4)] += 1
         if tool:
             self.masked += 1
-        self._nt += 1
+        if self.last_ts is None or ts > self.last_ts:
+            self.last_ts = ts
         if self._need_seq(cfg):
             self.turns.append((ts, turn_uid, role))
         else:
-            self.turns = None           # ints-only state: ts -> count
-            tc = self._ts_counts
-            if tc is None:
-                tc = self._ts_counts = {}
-            tc[ts] = tc.get(ts, 0) + 1
+            self.turns = None           # ints-only state
         if cfg.ctw_text:
             self.texts[(ts, turn_uid)] = text
         if cfg.custom_aggs:
@@ -310,55 +299,6 @@ class _WindowAcc:
                 self.kg[j] = None
         self.big_cnt += big
 
-    def evict(self, ts: int, turn_uid, role: str, text: str, tool: str,
-              cfg: WindowConfig):
-        """Inverse of add. No engine path calls it (windows are emitted
-        whole, and duplicates are dropped before they are added); the
-        tests keep it exact: histograms are integer, so add+evict is
-        bit-identical to never having added (F19 gate)."""
-        self.role_counts[ROLE_IDX.get(role, 4)] -= 1
-        if tool:
-            self.masked -= 1
-        self._nt -= 1
-        if self.turns is not None:
-            self.turns.remove((ts, turn_uid, role))
-        elif self._ts_counts is not None:
-            self._ts_counts[ts] -= 1
-            if self._ts_counts[ts] == 0:
-                del self._ts_counts[ts]
-        if cfg.ctw_text:
-            self.texts.pop((ts, turn_uid), None)
-        if cfg.custom_aggs and self.custom is not None:
-            from ..functions import registry
-            row = {"ts": ts, "turn_uid": turn_uid, "role": role,
-                   "text": text, "tool": tool}
-            for n in cfg.custom_aggs:
-                registry.get(n).evict(self.custom[n], row)
-        if cfg.profile == "counts":
-            return
-        up = text.translate(_ASCII_UP)
-        n_chars, cc, kgs, big = _text_stats(text, up, cfg.bigram)
-        self.n_chars -= n_chars
-        for b, c in cc.items():
-            self.char_counts[b] -= c
-            if self.char_counts[b] == 0:
-                del self.char_counts[b]
-        for j in (0, 1, 2):
-            src = kgs[j]
-            if not src:
-                continue
-            d = self.kg[j]
-            if d is None:
-                bk = self.kg_spill[j]
-                for g, c in src.items():
-                    bk.evict(g, c)
-                continue
-            for g, c in src.items():
-                d[g] -= c
-                if d[g] == 0:
-                    del d[g]
-        self.big_cnt -= big
-
     def finalize(self, conv_id: str, start_us: int, end_us: int,
                  cfg: WindowConfig) -> dict:
         """Emit the window's stats row. Timestamps are emitted as int64
@@ -373,12 +313,8 @@ class _WindowAcc:
             return num / den if den else (math.nan if num == 0
                                           else math.copysign(math.inf, num))
 
-        if self.turns is not None:
-            turns = sorted(self.turns)
-            last = turns[-1][0] if turns else start_us
-        else:
-            turns = []
-            last = (max(self._ts_counts) if self._ts_counts else start_us)
+        turns = sorted(self.turns) if self.turns is not None else []
+        last = start_us if self.last_ts is None else self.last_ts
         row = {
             "conv_id": conv_id,
             "window_start": start_us,
@@ -481,6 +417,14 @@ def _row_values(t: pa.Table):
                pc.fill_null(t["tool"], "").to_pylist())
 
 
+def _runs(keys: np.ndarray):
+    """Runs of equal adjacent ``keys``: each run's first index, each
+    key's offset in its run, and the run lengths."""
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    cnt = np.diff(starts, append=len(keys))
+    return starts, np.arange(len(keys)) - np.repeat(starts, cnt), cnt
+
+
 def _emitted_rows(t: pa.Table) -> list[dict]:
     """Kernel output as emitted rows: timestamps as int64 epoch-us, and
     NaN where the kernel wrote a 0/0 ratio as null."""
@@ -518,7 +462,8 @@ class StreamEngine:
         self.partition_id = partition_id
         self.watermark = -(1 << 62)
         self.max_ts = -(1 << 62)
-        # accumulator windows: (conv_id, start | window id) -> _WindowAcc
+        # promoted final-mode windows: (conv_id, start | window id) ->
+        # _WindowAcc
         self.open: dict[tuple, _WindowAcc] = {}
         self.heap: list[tuple] = []      # (window_end, conv_id, start)
         # open session of each conv: [ordinal, first ts, last ts]
@@ -534,9 +479,7 @@ class StreamEngine:
         # early firing: arrivals since the window's last speculative pane
         self._since_fire: dict[tuple, int] = {}
         self.metrics = Metrics()
-        # final-mode windows live in the row log; ``open`` then holds
-        # promoted windows only
-        self._log_mode = cfg.emit == "final"
+        self._updates = cfg.emit == "updates"
         # session and count windows are keyed by (conv_id, window id)
         self._keyed = cfg.kind in ("session", "count")
         self.log = (_LOG_SCHEMA.append(_WID) if self._keyed
@@ -574,9 +517,7 @@ class StreamEngine:
     def process_rows(self, rows: pd.DataFrame) -> list[dict]:
         """Feed a batch of rows (any column order; requires conv_id, ts;
         turn_uid/role/text/tool optional). Returns the rows of the windows
-        that closed. Final mode goes through the row log; the per-row loop
-        below serves updates mode."""
-        cfg = self.cfg
+        that closed, or the panes that fired, in the batch."""
         cols = rows.columns
         ts_arr = rows["ts"].to_numpy()
         if ts_arr.dtype != "M8[us]":
@@ -588,97 +529,18 @@ class StreamEngine:
             uid_arr = rows["turn_idx"].to_numpy()
         else:
             uid_arr = np.arange(len(rows))
-        if self._log_mode:
-            return self._process_log(rows, ts_arr,
-                                     np.asarray(uid_arr, dtype=np.int64))
-        get = {c: rows[c].to_numpy() for c in
-               ("conv_id", "role", "text", "tool") if c in cols}
-        want_stats = cfg.profile != "counts"
-        out: list[dict] = []
-        for i in range(len(rows)):
-            ts = int(ts_arr[i])
-            self.metrics.rows_in += 1
-            starts = cfg.starts_for(ts)
-            late = ts < self.watermark
-            if late:
-                # live covering windows only; fully-expired rows drop
-                # BEFORE the dedup insert so seen_uids never grows on
-                # dead rows
-                starts = [s for s in starts if s + cfg.size_us
-                          + cfg.retention_us > self.watermark]
-                if not starts:
-                    self.metrics.late_dropped += 1
-                    continue
-            conv = str(get["conv_id"][i])
-            uid = uid_arr[i]
-            seen = self.seen_uids.setdefault(conv, set())
-            key_uid = (int(uid), ts)
-            if key_uid in seen:
-                self.metrics.dup_dropped += 1
-                continue
-            seen.add(key_uid)
-            if len(seen) >= self._seen_prune_at.get(conv, 1024):
-                seen = self._prune_seen(conv, seen)
-            # nulls normalize to "" (str(None) would count 4 chars of
-            # "None" and make tool truthy — engine-wide null convention,
-            # shared with the salted/vectorized paths and the SQL
-            # oracles' coalesce semantics)
-            role = get["role"][i] if "role" in get else "user"
-            role = "user" if role is None or role != role else str(role)
-            text = get["text"][i] if "text" in get else ""
-            text = "" if text is None or text != text else str(text)
-            tool = get["tool"][i] if "tool" in get else ""
-            tool = "" if tool is None or tool != tool else str(tool)
-            # per-row text histograms computed ONCE, merged into every
-            # covering window (bit-identical counts; see module docstring)
-            if want_stats:
-                up = text.translate(_ASCII_UP)
-                stats = _text_stats(text, up, cfg.bigram)
-            else:
-                stats = None
+        return self._process_log(rows, ts_arr,
+                                 np.asarray(uid_arr, dtype=np.int64))
 
-            # a late row folds into every live covering window; one
-            # already past the watermark RE-EMITS with revision += 1
-            for s in starts:
-                key = (conv, s)
-                end = s + cfg.size_us
-                acc = self.open.get(key)
-                if acc is None:
-                    acc = self.open[key] = _WindowAcc()
-                    if end > self.watermark:
-                        heapq.heappush(self.heap, (end, conv, s))
-                    else:
-                        # opened BY a late row: schedule retention GC
-                        heapq.heappush(self.ret_heap,
-                                       (end + cfg.retention_us, conv, s))
-                acc.add(ts, int(uid), role, text, tool, cfg, stats)
-                if end <= self.watermark:
-                    out.append(self._finalize_row(conv, s, end, acc))
-                    self.metrics.late_updates += 1
-                elif cfg.early_fire_every and not late:
-                    # speculative pane for a still-open window
-                    n = self._since_fire.get(key, 0) + 1
-                    if n >= cfg.early_fire_every:
-                        out.append(self._finalize_row(conv, s, end, acc,
-                                                      pane=True))
-                        n = 0
-                    self._since_fire[key] = n
-
-            if ts > self.max_ts:
-                self.max_ts = ts
-                self.watermark = ts - cfg.lateness_us
-                self._drain(out)
-        return out
-
-    # -- row log (final mode) -----------------------------------------------
+    # -- row log ------------------------------------------------------------
 
     def _process_log(self, rows: pd.DataFrame, ts: np.ndarray,
                      uid: np.ndarray) -> list[dict]:
-        """``process_rows`` in final mode. Each row is judged late or
+        """``process_rows``' one ingest path. Each row is judged late or
         duplicate, and given its session or count chunk, as one row at a
         time would be, against the watermark of the rows before it; the
         accepted rows go to the log in one append, and one drain emits
-        every window closed at the call's end."""
+        every window closed, or pane fired (``_fire``), in the call."""
         cfg, m = self.cfg, self.metrics
         n = len(ts)
         m.rows_in += n
@@ -687,6 +549,12 @@ class StreamEngine:
         wm_row = np.maximum(run - cfg.lateness_us, wm0)
         # count windows follow arrival order: lateness does not apply
         keep = (ts >= wm_row) | (cfg.kind == "count")
+        if self._updates:
+            # a late row is kept while its newest covering window is live
+            step = cfg.step_us if cfg.kind == "sliding" else cfg.size_us
+            top = tumbling_start(ts, step, cfg.offset_us)
+            keep |= (top + cfg.size_us + cfg.retention_us > wm_row) & (
+                (top >= cfg.offset_us) | (cfg.kind == "tumbling"))
         idx = np.flatnonzero(keep)
         m.late_dropped += n - len(idx)
         convs: list[str] = []
@@ -727,13 +595,18 @@ class StreamEngine:
                                      ("tool", pa.string()))}}
             if self._keyed:
                 new["wid"] = pa.array(wids, pa.int64())
-            self._append(pa.table(new, schema=self.log.schema), wm0)
+            new = pa.table(new, schema=self.log.schema)
+            if self._updates:       # updates-mode windows are never promoted
+                self.log = pa.concat_tables([self.log, new])
+                wm = wm_row[sel]
+                return self._fire(wm0, wm, np.r_[wm[1:], self.watermark])
+            self._append(new, wm0)
         out: list[dict] = []
         if self._keyed:
             self._drain_keyed(out, closed, self.watermark - cfg.gap_us)
-        else:
+        elif not self._updates:         # updates mode fires in ``_fire``
             self._drain_log(out, wm0, self.watermark)
-            self._drain(out)
+            self._drain(out, self.watermark)
         self._sort(out)
         return out
 
@@ -842,11 +715,14 @@ class StreamEngine:
                            dtype=bool, count=len(r))
         self.log = log.filter(np.bincount(r[live], minlength=log.num_rows) > 0)
 
-    def _emit(self, out: list[dict], r: np.ndarray, w: np.ndarray,
-              bounds: dict | None = None) -> None:
-        """Emit the log windows of the memberships (log row ``r``, window
-        ``w``; all of each window's), in whole-window kernel calls of about
-        ``_CHUNK_CHARS``; ``bounds`` gives keyed windows' (start, end)."""
+    def _emit(self, r: np.ndarray, w: np.ndarray,
+              e: np.ndarray | None = None) -> list[dict]:
+        """Kernel rows of the log windows of the memberships (log row
+        ``r``, window ``w``: a start, a window id or a pane number; all of
+        each window's rows), in whole-window calls of about
+        ``_CHUNK_CHARS``. ``e`` gives each membership's
+        window end; tumbling/sliding windows default to ``w`` +
+        ``size_us``, and keyed windows have none."""
         cfg, log = self.cfg, self.log
         codes = log["conv_id"].combine_chunks().dictionary_encode() \
             .indices.to_numpy().astype(np.int64)[r]
@@ -854,7 +730,9 @@ class StreamEngine:
         order = np.lexsort((w, codes))
         r, w, codes = r[order], w[order], codes[order]
         t = log.take(r).append_column("window_start", pa.array(w))
-        if not self._keyed:
+        if e is not None:
+            t = t.append_column("window_end", pa.array(e[order]))
+        elif not self._keyed:
             t = t.append_column("window_end", pa.array(w + cfg.size_us))
         first = np.r_[True, (codes[1:] != codes[:-1]) | (w[1:] != w[:-1])]
         heads = np.flatnonzero(first)
@@ -862,15 +740,16 @@ class StreamEngine:
                         w[heads].tolist()))
         custom = (dict(zip(keys, self._fold_custom(t, heads)))
                   if cfg.custom_aggs else None)
+        out = []
         for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
                                   _CHUNK_CHARS):
             for row in _emitted_rows(self._stats.table(t.slice(a, b - a))):
-                key = (row["conv_id"], row["window_start"])
                 if custom is not None:
-                    row.update(custom[key])
-                out.append(self._finish(row, key, bounds))
+                    row.update(custom[(row["conv_id"], row["window_start"])])
+                out.append(row)
         for key in keys:
             self._log_cost.pop(key, None)
+        return out
 
     def _fold_custom(self, t: pa.Table, heads: np.ndarray) -> list[dict]:
         """``custom_aggs`` folded over each window of ``t`` (its rows from
@@ -888,18 +767,26 @@ class StreamEngine:
             out.append({agg.name: agg.emit(x) for agg, x in zip(aggs, st)})
         return out
 
-    def _finish(self, row: dict, key: tuple, bounds: dict | None) -> dict:
-        """Count an emitted window; a keyed window's row gets its kind's
-        (start, end) columns from ``bounds`` for the window columns."""
+    def _finish(self, row: dict, bounds: dict | None = None) -> dict:
+        """Count an emitted final-mode window; a keyed window's row gets
+        its kind's (start, end) columns from ``bounds`` for the window
+        columns."""
         if self.cfg.kind == "session":
             self.metrics.sessions_emitted += 1
         else:
             self.metrics.windows_emitted += 1
         if self._keyed:
             s, e = _BOUNDS[self.cfg.kind]
-            row[s], row[e] = bounds[key]
+            row[s], row[e] = bounds[(row["conv_id"], row["window_start"])]
             del row["window_start"], row["window_end"], row["last_ts"]
         return row
+
+    def _acc_row(self, key: tuple, acc: _WindowAcc, end: int = 0,
+                 bounds: dict | None = None) -> dict:
+        """A promoted window's row, from its accumulator."""
+        if acc.kg_spill is not None:
+            self.metrics.kgram_spills += 1
+        return self._finish(acc.finalize(*key, end, self.cfg), bounds)
 
     def _drain_log(self, out: list[dict], lo: int, hi: int) -> None:
         """Emit every tumbling/sliding log window with ``lo < window_end
@@ -921,10 +808,142 @@ class StreamEngine:
                                 in zip(r.tolist(), s.tolist())),
                                dtype=bool, count=len(r))
         if due.any():
-            self._emit(out, r[due], s[due])
-        newest = tumbling_start(ts, step, off) + size
-        if (newest <= hi).any():
-            self.log = log.filter(newest > hi).combine_chunks()
+            out += map(self._finish, self._emit(r[due], s[due]))
+        self._drop_rows(ts, hi)
+
+    def _drop_rows(self, ts: np.ndarray, hi: int) -> None:
+        """Drop the log rows (timestamps ``ts``) whose newest
+        tumbling/sliding window ended at or before ``hi`` (updates mode:
+        ``retention_us`` before it)."""
+        cfg = self.cfg
+        step = cfg.step_us if cfg.kind == "sliding" else cfg.size_us
+        done = tumbling_start(ts, step, cfg.offset_us) + cfg.size_us
+        if self._updates:
+            done += cfg.retention_us
+        if (done <= hi).any():
+            self.log = self.log.filter(done > hi).combine_chunks()
+
+    def _fire(self, wm0: int, wm_row: np.ndarray,
+              wm_after: np.ndarray) -> list[dict]:
+        """Updates mode: emit every pane that the call's accepted rows
+        fire. They are the log's last ``len(wm_row)`` rows; ``wm_row`` is
+        the watermark each saw and ``wm_after`` the one after it (``flush``
+        passes no rows and one watermark past every end), and ``wm0`` the
+        watermark before the call. A pane is a window's log rows up to
+        the row that fires it:
+
+        - a late row fires each live covering window (end +
+          ``retention_us`` above its watermark) whose end is at or below
+          its watermark (``late_updates``);
+        - an on-time row fires each covering window on that window's
+          every ``early_fire_every``-th on-time row (``early_panes``);
+        - a window with rows fires on time at the row that moves the
+          watermark to or past its end.
+
+        Output is by firing row: its late and early panes in
+        covering-window order, then its on-time panes by (end, conv_id,
+        start); a window's panes carry consecutive ``revision``s. All
+        panes go through one ``_emit``. Windows ``retention_us`` past the
+        watermark then expire, and rows of no live window leave the log.
+        """
+        cfg, log, met = self.cfg, self.log, self.metrics
+        size, ret, efe = cfg.size_us, cfg.retention_us, cfg.early_fire_every
+        n = log.num_rows
+        p0 = n - len(wm_row)
+        ts = log["ts"].to_numpy()
+        r, s = self._memberships(ts)
+        conv = log["conv_id"].combine_chunks().dictionary_encode()
+        names = np.array(conv.dictionary.to_pylist(), dtype=object)
+        by_name = np.argsort(names)
+        names, code = names[by_name].tolist(), \
+            np.argsort(by_name)[conv.indices.to_numpy()]
+        # window number of each membership, in (conv_id, start) order;
+        # ``fr`` is each window's first membership (memberships are in row
+        # order)
+        su, si = np.unique(s, return_inverse=True)
+        wk, fr, w = np.unique(code[r] * len(su) + si, return_index=True,
+                              return_inverse=True)
+        w_conv, w_start = wk // len(su), su[wk % len(su)]
+        w_end = w_start + size
+
+        def key(x):
+            return names[w_conv[x]], int(w_start[x])
+
+        j = np.flatnonzero(r >= p0)             # the call's memberships
+        wm = wm_row[r[j] - p0]
+        e = s[j] + size
+        late = j[(e <= wm) & (e + ret > wm)]
+        early = j[:0]
+        fire_counts = {}
+        if efe:
+            # k-th on-time arrival of each window since its last early pane
+            on = j[ts[r[j]] >= wm]
+            on = on[np.argsort(w[on], kind="stable")]
+            runs, k, cnt = _runs(w[on])
+            prev = np.array([self._since_fire.get(key(x), 0)
+                             for x in w[on][runs]], dtype=np.int64)
+            early = on[(np.repeat(prev, cnt) + k + 1) % efe == 0]
+            fire_counts = {key(x): (p + c) % efe for x, p, c in
+                           zip(w[on][runs].tolist(), prev.tolist(),
+                               cnt.tolist())}
+        # on-time: at the first row whose watermark after reaches the end,
+        # for a window open before the call with a row before that one;
+        # by (end, conv_id, start)
+        at = np.searchsorted(wm_after, w_end)
+        ontime = np.flatnonzero((w_end > wm0) & (at < len(wm_after))
+                                & (r[fr] < p0 + at))
+        ontime = ontime[np.argsort(w_end[ontime], kind="stable")]
+        lj = np.sort(np.r_[late, early])        # row, then covering order
+        pw = np.r_[w[lj], ontime]               # pane -> window
+        cut = np.r_[r[lj] + 1, p0 + at[ontime]]  # pane rows: r < cut
+        # by firing row, its late and early panes before its on-time ones
+        order = np.argsort(np.r_[2 * r[lj], 2 * cut[len(lj):] + 1],
+                           kind="stable")
+        pw, cut = pw[order], cut[order]
+        # revision: the window's next one plus the pane's rank among its
+        # panes of this call
+        by_w = np.argsort(pw, kind="stable")
+        runs, k, cnt = _runs(pw[by_w])
+        base = np.array([self.revisions.get(key(x), -1) + 1
+                         for x in pw[by_w][runs]], dtype=np.int64)
+        rev = np.empty(len(pw), dtype=np.int64)
+        rev[by_w] = np.repeat(base, cnt) + k
+        # each pane's memberships: a prefix of its window's, by arrival
+        ms = np.argsort(w, kind="stable")
+        ck = w[ms] * (n + 1) + r[ms]
+        a = np.searchsorted(ck, pw * (n + 1))
+        c = np.searchsorted(ck, pw * (n + 1) + cut) - a
+        take = ms[np.repeat(a - np.cumsum(c) + c, c) + np.arange(c.sum())]
+        pane = np.repeat(np.arange(len(pw)), c)
+        out = [None] * len(pw)
+        for row in (self._emit(r[take], pane, w_end[pw][pane])
+                    if len(pw) else []):
+            p = row["window_start"]
+            row["window_start"] = int(w_start[pw[p]])
+            row["revision"] = int(rev[p])
+            out[p] = row
+        met.late_updates += len(late)
+        met.early_panes += len(early)
+        met.windows_emitted += len(late) + len(ontime)
+        self._since_fire.update(fire_counts)
+        if ret or efe:
+            for x, v in zip(pw[by_w][runs], base + cnt - 1):
+                self.revisions[key(x)] = int(v)
+        for x in ontime.tolist():
+            self._since_fire.pop(key(x), None)
+            if ret:
+                heapq.heappush(self.ret_heap, (int(w_end[x]) + ret, *key(x)))
+            else:
+                self.revisions.pop(key(x), None)
+        # windows a late row opened expire at retention too
+        for x in w[late[r[late] == r[fr[w[late]]]]].tolist():
+            heapq.heappush(self.ret_heap, (int(w_end[x]) + ret, *key(x)))
+        while self.ret_heap and self.ret_heap[0][0] <= self.watermark:
+            _, cv, st = heapq.heappop(self.ret_heap)
+            self.revisions.pop((cv, st), None)
+            met.windows_expired += 1
+        self._drop_rows(ts, self.watermark)
+        return out
 
     def _drain_keyed(self, out: list[dict], closed: dict,
                      before: int) -> None:
@@ -941,94 +960,47 @@ class StreamEngine:
         due = np.fromiter((k in closed for k in zip(
             self.log["conv_id"].to_pylist(), wid.tolist())), bool, len(wid))
         if due.any():
-            self._emit(out, np.flatnonzero(due), wid[due], closed)
+            out += [self._finish(row, closed)
+                    for row in self._emit(np.flatnonzero(due), wid[due])]
             self.log = self.log.filter(~due)
         for key in sorted(closed):
             acc = self.open.pop(key, None)
             if acc is not None:
-                if acc.kg_spill is not None:
-                    self.metrics.kgram_spills += 1
-                out.append(self._finish(acc.finalize(key[0], 0, 0, self.cfg),
-                                        key, closed))
+                out.append(self._acc_row(key, acc, bounds=closed))
 
     def _sort(self, out: list[dict]) -> None:
         """Emission order: (end, conv_id, start)."""
         s, e = _BOUNDS.get(self.cfg.kind, ("window_start", "window_end"))
         out.sort(key=lambda row: (row[e], row["conv_id"], row[s]))
 
-    def _finalize_row(self, conv: str, s: int, end: int,
-                      acc: _WindowAcc, pane: bool = False) -> dict:
-        """Shared emission: finalize (non-destructive) + metrics; in
-        updates mode stamps the per-window ``revision`` (0 = first pane).
-        ``pane=True`` marks a speculative early fire (counted separately
-        from windows_emitted)."""
-        if acc.kg_spill is not None:
-            self.metrics.kgram_spills += 1
-        row = acc.finalize(conv, s, end, self.cfg)
-        if pane:
-            self.metrics.early_panes += 1
-        else:
-            self.metrics.windows_emitted += 1
-        if self.cfg.emit == "updates":
-            rev = self.revisions.get((conv, s), -1) + 1
-            # track the counter whenever this window can emit again
-            # (retention or early firing); at retention 0 without early
-            # fire, don't accumulate dead keys
-            if self.cfg.retention_us > 0 or self.cfg.early_fire_every:
-                self.revisions[(conv, s)] = rev
-            row["revision"] = rev
-        return row
-
-    def _drain(self, out: list[dict]):
-        """Emit the accumulator windows whose end the watermark passed,
-        and drop retained ones past their retention."""
-        cfg = self.cfg
-        retain = cfg.emit == "updates" and cfg.retention_us > 0
-        while self.heap and self.heap[0][0] <= self.watermark:
+    def _drain(self, out: list[dict], hi: int) -> None:
+        """Emit the promoted tumbling/sliding windows whose end is at or
+        below ``hi``."""
+        while self.heap and self.heap[0][0] <= hi:
             end, conv, s = heapq.heappop(self.heap)
-            key = (conv, s)
-            if retain:
-                # keep the accumulator for late updates; GC at
-                # end + retention_us
-                acc = self.open.get(key)
-                if acc is None:
-                    continue
-                heapq.heappush(self.ret_heap,
-                               (end + cfg.retention_us, conv, s))
-            else:
-                acc = self.open.pop(key, None)
-                if acc is None:
-                    continue
-            out.append(self._finalize_row(conv, s, end, acc))
-            self._since_fire.pop(key, None)
-            if not retain:      # no further emission possible for key
-                self.revisions.pop(key, None)
-        # retention GC: drop accumulators whose late-update horizon passed
-        while self.ret_heap and self.ret_heap[0][0] <= self.watermark:
-            _, conv, s = heapq.heappop(self.ret_heap)
-            if self.open.pop((conv, s), None) is not None:
-                self.metrics.windows_expired += 1
-            self.revisions.pop((conv, s), None)
+            acc = self.open.pop((conv, s), None)
+            if acc is not None:
+                out.append(self._acc_row((conv, s), acc, end))
 
     # -- end of stream ------------------------------------------------------
 
     def flush(self) -> list[dict]:
         """Close every remaining window/session (input exhausted)."""
         out: list[dict] = []
+        top = np.iinfo(np.int64).max
         if self._keyed:
             n = self.cfg.count_turns      # partial count chunks
             closed = {(c, k - k % n): (k - k % n, k)
                       for c, k in self.count_rows.items() if k % n}
             self.count_rows = {}
-            self._drain_keyed(out, closed, np.iinfo(np.int64).max)
+            self._drain_keyed(out, closed, top)
+        elif self._updates:
+            out = self._fire(self.watermark, np.empty(0, np.int64),
+                             np.array([top]))
+            self.log = self.log.slice(0, 0)
         else:
-            self._drain_log(out, self.watermark, np.iinfo(np.int64).max)
-            while self.heap:
-                end, conv, s = heapq.heappop(self.heap)
-                acc = self.open.pop((conv, s), None)
-                if acc is None:
-                    continue
-                out.append(self._finalize_row(conv, s, end, acc))
+            self._drain_log(out, self.watermark, top)
+            self._drain(out, top)
         self._sort(out)
         return out
 
@@ -1050,6 +1022,11 @@ class StreamEngine:
     def restore(cls, blob: bytes) -> "StreamEngine":
         d = pickle.loads(blob)
         eng = cls(d["cfg"], d["partition_id"])
+        if eng._updates and d["open"]:
+            raise ValueError(
+                "snapshot holds updates-mode windows as accumulators, from "
+                "before updates mode kept its rows in the row log; it "
+                "cannot resume: replay the input from its start")
         eng.watermark, eng.max_ts = d["watermark"], d["max_ts"]
         eng.open, eng.heap = d["open"], d["heap"]
         eng.seen_uids = d["seen_uids"]
@@ -1070,10 +1047,11 @@ class StreamEngine:
             eng.count_rows[conv] = start + n
             if n:
                 eng.open[(conv, start)] = acc
-        if eng._log_mode and d.get("log") is not None and d["log"].num_rows:
+        if d.get("log") is not None and d["log"].num_rows:
             eng.log = d["log"]
-            r, s, conv = eng._windows_of(eng.log, eng.watermark)
-            eng._add_costs(conv, s, (1 + _text_bytes(eng.log))[r])
+            if not eng._updates:
+                r, s, conv = eng._windows_of(eng.log, eng.watermark)
+                eng._add_costs(conv, s, (1 + _text_bytes(eng.log))[r])
         return eng
 
 
@@ -1085,8 +1063,9 @@ def emitted_to_frame(rows: list[dict], kind: str,
                      extra_cols: tuple = ()) -> pd.DataFrame:
     """Columnar assembly of emitted rows (list-of-dicts -> DataFrame via
     per-column lists: pandas' nested-dict inference profiled at 22% of
-    replay wall). Timestamp columns arrive as int64 epoch-us from
-    ``finalize`` and convert in one vectorized view here."""
+    replay wall). Timestamp columns arrive as int64 epoch-us (the
+    engine's ``_emitted_rows`` and ``_WindowAcc.finalize`` both give
+    them so) and convert in one vectorized view here."""
     if kind in _BOUNDS:
         base = ["conv_id", *_BOUNDS[kind], "n_turns"]
         cols = base + [c for c in STATS_COLUMNS

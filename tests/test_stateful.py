@@ -265,7 +265,7 @@ def test_task_failure_retried_transparently(ray_session, tmp_path):
 
 def test_bounded_kgrams_exact_below_cap_roundtrip():
     """Below the cap the accumulator keeps exact plain dicts
-    (bit-identical entropy); add+evict is an exact inverse."""
+    (bit-identical entropy)."""
     from fasta_windows_ray import kernels as K
     from fasta_windows_ray.state.engine import _WindowAcc, WindowConfig
 
@@ -279,8 +279,6 @@ def test_bounded_kgrams_exact_below_cap_roundtrip():
     st = acc.finalize("c", 0, 10 * S, cfg)
     assert st["bigram_diversity"] == K.entropy_from_counts(
         [exp[g] for g in sorted(exp)])
-    acc.evict(0, 0, "user", "abcabcabd", "", cfg)
-    assert acc.kg[0] == {} and acc.n_chars == 0 and acc._nt == 0
 
 
 def test_bounded_kgrams_spill_flat_memory():
@@ -304,23 +302,6 @@ def test_bounded_kgrams_spill_flat_memory():
     p_hh, p_t = 1000 / n, 1 / n
     true = -(8 * p_hh * math.log2(p_hh) + 4512 * p_t * math.log2(p_t))
     assert 0 < h <= true + 1e-9          # tail-aggregated lower bound
-
-
-def test_counts_profile_evict_restores_last_ts():
-    """ADVICE round-2: in the no-sequence profile evict must remain the
-    exact inverse of add INCLUDING last_ts (ts->count dict, not a single
-    running max)."""
-    from fasta_windows_ray.state.engine import _WindowAcc, WindowConfig
-
-    cfg = WindowConfig(kind="tumbling", size_us=10 * S, profile="counts",
-                       ctw_depth=-1)
-    acc = _WindowAcc()
-    acc.add(2000, 0, "user", "x", "", cfg)
-    acc.add(9000, 1, "user", "y", "", cfg)
-    assert acc.turns is None
-    acc.evict(9000, 1, "user", "y", "", cfg)
-    st = acc.finalize("c", 0, 10 * S, cfg)
-    assert st["last_ts"] == 2000         # evicted max restored
 
 
 def test_huge_window_flat_acc_and_last_ts():

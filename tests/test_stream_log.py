@@ -87,7 +87,8 @@ _START = {k: v[0] for k, v in _BOUNDS.items()}
 
 def _canon(rows, kind, extra=()):
     return emitted_to_frame(rows, kind, extra).sort_values(
-        ["conv_id", _START.get(kind, "window_start")]).reset_index(drop=True)
+        ["conv_id", _START.get(kind, "window_start"),
+         *[c for c in extra if c == "revision"]]).reset_index(drop=True)
 
 
 def _hash_add(st, row):
@@ -120,27 +121,48 @@ AGGS = ("total_text_chars", "distinct_tools", "arrival_hash")
                  ctw_text=True),
     WindowConfig(kind="count", count_turns=4, lateness_us=LATENESS),
     WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
-                 custom_aggs=AGGS)],
-    ids=["tumbling", "sliding", "session", "count", "custom_aggs"])
+                 custom_aggs=AGGS),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 emit="updates", retention_us=6 * S),
+    WindowConfig(kind="sliding", size_us=6 * S, step_us=2 * S,
+                 lateness_us=LATENESS, ctw_text=True, emit="updates",
+                 retention_us=4 * S),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 emit="updates", early_fire_every=2)],
+    ids=["tumbling", "sliding", "session", "count", "custom_aggs",
+         "updates_tumbling", "updates_sliding", "updates_early"])
 def test_output_independent_of_batch_split(cfg, arrival_hash, monkeypatch):
     """One call, one row per call and random splits with a snapshot and
     restore at one split emit the same rows on every column, with equal
     counters; the late/dup counters equal the plants (count windows take
-    late rows), and no row goes through an accumulator."""
+    late rows, updates mode the late rows of a live window), and no row
+    goes through an accumulator. Updates mode also emits its panes in the
+    same order."""
     adds = []
     real_add = _WindowAcc.add
     monkeypatch.setattr(_WindowAcc, "add",
                         lambda *a, **k: adds.append(1) or real_add(*a, **k))
     df, late, dup = _ooo_stream()
     assert late.sum() > 0 and dup.sum() > 0
+    updates = cfg.emit == "updates"
+    if updates:
+        # a planted late row is kept iff its newest covering window is
+        # live at the watermark of the rows before it
+        ts = df["ts"].to_numpy().astype(np.int64)
+        wm = np.r_[ts[0], np.maximum.accumulate(ts)[:-1]] - LATENESS
+        step = cfg.step_us or cfg.size_us
+        live = ts // step * step + cfg.size_us + cfg.retention_us > wm
+        assert (late & live).sum() > 0 and (late & ~live).sum() > 0
+        late = late & ~live
     ref, ref_m = _feed(cfg, df, [])
     assert ref_m["late_dropped"] == (0 if cfg.kind == "count"
                                      else late.sum())
     assert ref_m["dup_dropped"] == dup.sum()
-    extra = cfg.custom_aggs
+    extra = ("revision",) if updates else cfg.custom_aggs
     want = _canon(ref, cfg.kind, extra)
     assert not want.duplicated(["conv_id", _START.get(cfg.kind,
-                                                      "window_start")]).any()
+                                                      "window_start"),
+                                *extra[:updates]]).any()
     rng = np.random.default_rng(9)
     cuts = sorted(rng.choice(np.arange(1, len(df)), 7, replace=False)
                   .tolist())
@@ -148,10 +170,19 @@ def test_output_independent_of_batch_split(cfg, arrival_hash, monkeypatch):
                     _feed(cfg, df, cuts, snap_at=cuts[3])):
         pd.testing.assert_frame_equal(_canon(rows, cfg.kind, extra), want,
                                       check_exact=True)
+        if updates:
+            pd.testing.assert_frame_equal(
+                emitted_to_frame(rows, cfg.kind, extra),
+                emitted_to_frame(ref, cfg.kind, extra), check_exact=True)
         assert m == ref_m
     emitted = "sessions_emitted" if cfg.kind == "session" \
         else "windows_emitted"
-    assert ref_m[emitted] == len(want) and ref_m["windows_promoted"] == 0
+    assert ref_m[emitted] + ref_m["early_panes"] == len(want)
+    assert ref_m["windows_promoted"] == 0
+    if updates:
+        assert (ref_m["early_panes"] > 0) == (cfg.early_fire_every > 0)
+        for c in ("late_updates", "windows_expired"):
+            assert (ref_m[c] > 0) == (cfg.retention_us > 0)
     assert adds == []
     kept = df[~late & ~dup] if cfg.kind != "count" else df[~dup]
     if cfg.kind == "count":
@@ -307,13 +338,15 @@ def _acc(rows: pd.DataFrame, cfg) -> _WindowAcc:
     return acc
 
 
-@pytest.mark.parametrize("kind", ["tumbling", "session", "count"])
+@pytest.mark.parametrize("kind", ["tumbling", "session", "count",
+                                  "updates"])
 def test_restore_snapshot_without_row_log(kind):
     """A snapshot from before the row log (open windows, sessions and
     count chunks as accumulators; no ``log``, no session or count
     positions, no ``windows_promoted`` counter) restores; its
     accumulators keep taking rows, and the resumed output equals a fresh
-    run's."""
+    run's. An updates-mode one, whose windows' rows are only in its
+    accumulators, is refused."""
     ts = EPOCH + np.array([0, 1, 2, 3, 4, 5, 6, 40, 41, 42]) * S
     rows = pd.DataFrame({
         "conv_id": ["a"] * 10, "turn_uid": np.arange(10),
@@ -324,10 +357,12 @@ def test_restore_snapshot_without_row_log(kind):
     start = EPOCH // (10 * S) * 10 * S
     cfg = {"tumbling": WindowConfig(kind="tumbling", size_us=10 * S),
            "session": WindowConfig(kind="session", gap_us=10 * S),
-           "count": WindowConfig(kind="count", count_turns=4)}[kind]
+           "count": WindowConfig(kind="count", count_turns=4),
+           "updates": WindowConfig(kind="tumbling", size_us=10 * S,
+                                   emit="updates", retention_us=60 * S)}[kind]
     k = 6 if kind == "count" else 3
     old = {"open": {}, "heap": [], "sessions": {}, "count_bufs": {}}
-    if kind == "tumbling":
+    if kind in ("tumbling", "updates"):
         old["open"] = {("a", start): _acc(rows.iloc[:3], cfg)}
         old["heap"] = [(start + 10 * S, "a", start)]
     elif kind == "session":        # an open session of 3 rows
@@ -341,6 +376,10 @@ def test_restore_snapshot_without_row_log(kind):
         del d[key]
     del d["metrics"].__dict__["windows_promoted"]
     d.update(old)
+    if kind == "updates":
+        with pytest.raises(ValueError, match="accumulators"):
+            StreamEngine.restore(pickle.dumps(d))
+        return
     resumed = StreamEngine.restore(pickle.dumps(d))
     assert resumed.metrics.as_dict()["windows_promoted"] == 0
     out += resumed.process_rows(rows.iloc[k:]) + resumed.flush()
@@ -351,6 +390,28 @@ def test_restore_snapshot_without_row_log(kind):
     pd.testing.assert_frame_equal(emitted_to_frame(out, kind),
                                   emitted_to_frame(want, kind),
                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("ctw_depth", [-1, 6])
+def test_accumulator_pickled_with_ts_counts(ctw_depth):
+    """An accumulator pickled in the layout of older snapshots (a
+    ``_ts_counts`` ts -> count map and an ``_nt`` turn count, no
+    ``last_ts``) unpickles with its max ts as ``last_ts`` and emits the
+    same row."""
+    cfg = WindowConfig(kind="tumbling", size_us=10 * S, ctw_depth=ctw_depth)
+    acc = _WindowAcc()
+    for i, t in enumerate((5, 9, 2)):
+        acc.add(EPOCH + t * S, i, "user", f"hi {i}", "", cfg)
+    old = dict(acc.__getstate__()[1])
+    del old["last_ts"]
+    old["_nt"] = 3
+    if acc.turns is None:
+        old["_ts_counts"] = {EPOCH + t * S: 1 for t in (5, 9, 2)}
+    back = pickle.loads(pickle.dumps(acc))
+    back.__setstate__((None, old))
+    assert back.last_ts == EPOCH + 9 * S
+    assert back.finalize("c", EPOCH, EPOCH + 10 * S, cfg) == \
+        acc.finalize("c", EPOCH, EPOCH + 10 * S, cfg)
 
 
 def test_partition_of_equals_per_row_crc32():

@@ -122,24 +122,6 @@ def test_f19_sliding_rolling_equals_recompute():
         assert row["char_entropy"] == K.text_char_entropy(blob)
 
 
-def test_f19_explicit_add_evict_roundtrip():
-    """evict() is the exact inverse of add() — histograms bit-identical."""
-    from fasta_windows_ray.state.engine import _WindowAcc
-    cfg = WindowConfig()
-    a, b = _WindowAcc(), _WindowAcc()
-    turns = [(EPOCH_US + i * S, i, "user", f"text {i} kgrams", "")
-             for i in range(5)]
-    for t in turns:
-        a.add(*t, cfg)
-        b.add(*t, cfg)
-    extra = (EPOCH_US + 99 * S, 99, "tool", "extra turn text", "grep")
-    b.add(*extra, cfg)
-    b.evict(*extra, cfg)
-    fa = a.finalize("c", EPOCH_US, EPOCH_US + 100 * S, cfg)
-    fb = b.finalize("c", EPOCH_US, EPOCH_US + 100 * S, cfg)
-    assert fa == fb
-
-
 def test_f20_session_gap():
     rows = []
     for i, off in enumerate([0, 1, 2, 122, 123]):
