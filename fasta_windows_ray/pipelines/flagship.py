@@ -9,8 +9,10 @@ Ray-Data-first (SURVEY.md §3.1 "Ray Data shape").
 from __future__ import annotations
 
 from ..transcripts import read_transcripts
-from .queries import BIGRAM, SIZE_US
 from ..stages.window_stats import window_stats
+
+SIZE_US = 6 * 3600 * 1_000_000          # 6 h tumbling
+BIGRAM = '"k'                            # designated bigram (CpG analogue)
 
 
 def flagship(sf_dir: str = "/root/testdata/sf0.001", profile: str = "full",

@@ -4,7 +4,9 @@ Every constant here is the ANSI-SQL twin of one Ray pipeline in
 queries.py — the driver runs both sides at sf0.01 and compares
 row count + schema + order-insensitive value hash (CORRECTNESS gate).
 Shared window/query parameters that both the SQL and the Ray code
-consume live here too, so the two sides can never drift apart.
+consume live here too (the flagship's ``SIZE_US`` and ``BIGRAM`` live
+in flagship.py and are imported here), so the two sides can never
+drift apart.
 
 Conventions (mirrored by queries.py helpers):
 - float columns round to 6 dp with `+ 0.0` (IEEE -0.0 -> +0.0);
@@ -16,14 +18,11 @@ Conventions (mirrored by queries.py helpers):
 from __future__ import annotations
 
 from ..transcripts import events_as_transcripts_sql
-
-SIZE_US = 6 * 3600 * 1_000_000          # 6 h tumbling
+from .flagship import BIGRAM, SIZE_US
 
 STEP_US = 2 * 3600 * 1_000_000          # 2 h sliding step (3 covers)
 
 SESSION_GAP_US = 30 * 60 * 1_000_000    # 30 min session gap
-
-BIGRAM = '"k'                            # designated bigram (CpG analogue)
 
 TOPK_QUERY_IDS = [0, 1, 2]
 

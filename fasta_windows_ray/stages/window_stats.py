@@ -198,6 +198,7 @@ def add_bucket_slab(ds, num_buckets: int, size_us: int,
 # job.
 _CHUNK_CHARS = 1 << 18
 _SENTINELS = 3          # zero classes after each turn: 4-grams stay inside
+_I32_MAX = np.iinfo(np.int32).max
 
 
 def _ascii_upper(arr: np.ndarray) -> np.ndarray:
@@ -212,7 +213,7 @@ def _bits(n) -> int:
 
 def _sort_pairs(hi: np.ndarray, lo: np.ndarray, lo_bits: int,
                 payload: np.ndarray | None = None):
-    """Rows sorted by (hi, lo), non-negative int64 with lo < 2**lo_bits,
+    """Rows sorted by (hi, lo), non-negative integers with lo < 2**lo_bits,
     with ``payload`` carried along; returns (hi, lo, payload).
 
     When hi, lo and payload fit 63 bits together they are packed into one
@@ -224,8 +225,8 @@ def _sort_pairs(hi: np.ndarray, lo: np.ndarray, lo_bits: int,
         order = _argsort_pairs(hi, lo, payload)
         return (hi[order], lo[order],
                 None if payload is None else payload[order])
-    key = hi << (lo_bits + pb)
-    key |= lo << pb
+    key = np.left_shift(hi, lo_bits + pb, dtype=np.int64)
+    key |= np.left_shift(lo, pb, dtype=np.int64)
     if payload is not None:
         key |= payload
     key.sort()
@@ -239,49 +240,121 @@ def _argsort_pairs(hi: np.ndarray, lo: np.ndarray,
     return np.lexsort((lo, hi) if payload is None else (payload, lo, hi))
 
 
-def _slot_windows(item, q, cnt, is_sorted, sq_cg, sq_slot, wc, c):
-    """(window, count) of every (k-gram, window) pair, from the counts
-    ``cnt`` of (k-gram ``item``, step-slot ``q``) pairs. The result is in
-    k-gram order, so each window's k-grams come out in ascending order, as
-    ``_segment_entropy`` needs; no window-level sort is made.
+def _roll_up(item: np.ndarray, q: np.ndarray, cnt: np.ndarray,
+             q_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (item, q) pairs of rows (item, q, count), sorted, with
+    their counts summed; the arrays keep the dtype of ``cnt``."""
+    dt = cnt.dtype
+    item, q, cnt = _sort_pairs(item, q, q_bits, cnt)
+    st = np.flatnonzero(np.r_[True, (item[1:] != item[:-1])
+                              | (q[1:] != q[:-1])])
+    return (item[st].astype(dt), q[st].astype(dt),
+            np.add.reduceat(cnt, st, dtype=dt))
 
-    Rows sorted by (item, q) (``is_sorted``, else sorted here and summed)
-    list each (item, cg) group's slots in ascending order. Window j of a
-    row starts j slots before the row's slot (``wc``, -1 if no such
-    window); the row emits it unless it also covers the group's previous
-    slot, and its count is the row's plus those of the next c - 1 rows
-    of the group whose slots it covers.
+
+def _slot_axis(sq_cg: np.ndarray, sq_slot: np.ndarray, c: int,
+               dt) -> np.ndarray:
+    """Position of each (group, slot) pair, sorted, on ``_spread``'s slot
+    axis: the distance from the previous slot of its group, capped at
+    ``c``, or ``c`` after the previous group."""
+    step = np.minimum(np.diff(sq_slot), c)
+    step[sq_cg[1:] != sq_cg[:-1]] = c
+    cs = np.zeros(len(sq_slot), dtype=dt)
+    np.cumsum(step, out=cs[1:])
+    return cs
+
+
+def _spread(item: np.ndarray, q: np.ndarray, cnt: np.ndarray,
+            cs: np.ndarray, wc: np.ndarray, c: int):
+    """(window, count) of every (k-gram, window) pair, from the counts
+    ``cnt`` of distinct (k-gram ``item``, step-slot ``q``) rows sorted by
+    (item, q). The pairs come in (k-gram, conversation × slab, window
+    start) order, so each window's k-grams come out in ascending order,
+    as ``_segment_entropy`` needs; no window-level sort is made.
+
+    ``cs`` lays the slots on one axis (``_slot_axis``). The rows are laid
+    on an axis ``z`` the same way, with ``c`` between k-grams, so the
+    window of ``c`` slots that starts at ``x`` holds the row counts on
+    ``z`` in [x, x + c): one prefix sum, one difference. Every ``x`` up to
+    the last row is such a window start: row i's windows start at
+    z[i] - j for the covers j < gap[i] (the ones the previous row does not
+    also cover), and ``wc[q * c + j]`` is that window's code (-1 if there
+    is none).
     """
+    dt = cnt.dtype
     n = len(item)
     if n == 0:
         return item, cnt
-    if not is_sorted:
-        item, q, cnt = _sort_pairs(item, q, _bits(len(sq_cg)), cnt)
-        st = np.flatnonzero(np.r_[True, (item[1:] != item[:-1])
-                                  | (q[1:] != q[:-1])])
-        item, q, cnt = item[st], q[st], np.add.reduceat(cnt, st)
-        n = len(item)
-    slot = sq_slot[q]
-    same = (item[1:] == item[:-1]) & (sq_cg[q[1:]] == sq_cg[q[:-1]])
-    # add[j, i]: count of the later row whose slot window j of row i
-    # reaches last; window j sums add[j..c-1, i]
-    add = np.zeros((c, n), dtype=np.int64)
-    run = np.ones(n - 1, dtype=bool)
-    for t in range(1, min(c, n)):
-        run = run[:n - t] & same[t - 1:]
-        i = np.flatnonzero(run)
-        d = slot[i + t] - slot[i]
-        i, d = i[d < c], d[d < c]           # row i + t's slot in reach
-        add[c - 1 - d, i] = cnt[i + t]
-    tot = np.empty((n, c), dtype=np.int64)
-    acc = cnt.copy()
-    for j in range(c - 1, -1, -1):
-        acc += add[j]
-        tot[:, j] = acc
-    gap = np.r_[c, np.where(same, np.diff(slot), c)]
-    w = wc.reshape(-1, c)[q]
-    emit = (np.arange(c)[None, :] < gap[:, None]) & (w >= 0)
-    return w[emit], tot[emit]
+    gap = np.empty(n, dtype=dt)
+    gap[0] = c
+    g = cs[q]
+    np.subtract(g[1:], g[:-1], out=gap[1:])
+    gap[1:][item[1:] != item[:-1]] = c
+    np.minimum(gap, c, out=gap)
+    z = np.cumsum(gap, dtype=dt)
+    e = int(z[-1])                 # window starts x = 0 .. e - 1
+    acc = np.zeros(e + c, dtype=dt)
+    acc[z] = cnt                   # acc[x]: the counts on z < x
+    np.cumsum(acc, out=acc)
+    z -= 1
+    w = np.repeat(q * c + z, gap)
+    w -= np.arange(e, dtype=dt)    # q * c + j of window start x
+    w = wc[w]
+    tot = acc[c:c + e] - acc[:e]
+    ok = w >= 0
+    return (w, tot) if ok.all() else (w[ok], tot[ok])
+
+
+def _slot_kgrams(hi: np.ndarray, lo: np.ndarray, q: np.ndarray,
+                 cnt: np.ndarray, cbits: int, kmax: int, cs: np.ndarray,
+                 wc: np.ndarray, c: int):
+    """Yield (k, window, count) for k = kmax .. 1: every window's count of
+    every k-gram that ends inside its turn, in ``_spread``'s order.
+
+    Input: the distinct (k-gram key, slot ``q``) rows of k = kmax, sorted,
+    with counts ``cnt``; a key is the pair ``hi`` = c0, ``lo`` = (c1 ..
+    c_kmax-1) of ``cbits``-bit classes, 0 after a turn's end. Level k - 1
+    is rolled up from level k: each k-gram maps to its prefix, and the
+    (prefix, slot) rows are re-sorted and summed, so each sort runs on the
+    previous level's distinct rows. ``q``, ``cnt``, ``cs`` and ``wc``
+    share one integer dtype, which the outputs keep.
+    """
+    dt = cnt.dtype
+    q_bits = _bits(len(cs))
+    new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
+    item = np.cumsum(new, dtype=dt) - 1
+    khi, klo = hi[new], lo[new]          # the k-gram of each item
+    cmask = (1 << cbits) - 1
+    for k in range(kmax, 0, -1):
+        shift = cbits * (kmax - k)
+        if k < kmax:
+            plo = klo >> shift
+            up = np.r_[True, (khi[1:] != khi[:-1]) | (plo[1:] != plo[:-1])]
+            parent = np.cumsum(up, dtype=dt) - 1
+            khi, klo = khi[up], klo[up]
+            item, q, cnt = _roll_up(parent[item], q, cnt, q_bits)
+        m = (((klo >> shift) & cmask) != 0)[item] if k > 1 else slice(None)
+        yield (k, *_spread(item[m], q[m], cnt[m], cs, wc, c))
+
+
+def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
+                   cbits: int, kmax: int):
+    """``_slot_kgrams``' pairs for k = 1 .. kmax from the distinct
+    (window, k-gram key) rows, ``hi`` = (window, c0): the counts of k are
+    the sums over runs of equal (window, c0 .. c_k-1)."""
+    cmask = (1 << cbits) - 1
+    new = np.r_[True, hi[1:] != hi[:-1]]
+    for k in range(1, kmax + 1):
+        lo_k = lo >> (cbits * (kmax - k))
+        if k > 1:
+            new[1:] |= lo_k[1:] != lo_k[:-1]
+        st = np.flatnonzero(new)
+        w = hi[st] >> cbits
+        n = np.add.reduceat(cnt, st)
+        if k > 1:
+            inside = (lo_k[st] & cmask) != 0
+            w, n = w[inside], n[inside]
+        yield k, w, n
 
 
 def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
@@ -332,20 +405,20 @@ def _segment_entropy(codes: np.ndarray, weights: np.ndarray, n_groups: int,
     """-sum p*log2(p) per group for (group_code, count) pairs.
 
     np.bincount accumulates sequentially in array order; callers pass
-    (group, item)-sorted pairs, so per-group terms add in ascending-item
-    order — bit-identical to the kernels' sequential loop.
+    each group's pairs in ascending-item order, so per-group terms add in
+    that order — bit-identical to the kernels' sequential loop.
     """
     if len(codes) == 0:
         return np.zeros(n_groups, dtype=np.float64)
-    w = weights.astype(np.float64)
-    p = w / denom[codes]
-    if w.min() > 0:          # run lengths are always positive
-        terms = -p * np.log2(p)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(w > 0, -p * np.log2(np.where(p > 0, p, 1.0)),
-                             0.0)
-    return np.bincount(codes, weights=terms, minlength=n_groups)
+    p = weights / denom[codes]
+    if weights.min() > 0:    # run lengths are always positive
+        terms = np.log2(p)
+    else:                    # p * log2(p) is 0 at p = 0
+        terms = np.log2(np.where(p > 0, p, 1.0))
+    terms *= p
+    # sums p*log2(p) and negates once: negation is exact and rounding is
+    # symmetric, so this is bit-identical to summing -p*log2(p)
+    return 0.0 - np.bincount(codes, weights=terms, minlength=n_groups)
 
 
 def _ctw_distinct(keys: list, depth: int) -> np.ndarray:
@@ -579,9 +652,10 @@ class BucketWindowStats:
         counts are the runs of equal (group, c0..c_k-1) prefixes of the
         sorted keys. A key is the pair hi = (group, c0), lo = (c1, c2,
         c3), which holds any alphabet; ``_sort_pairs`` packs it into one
-        int64 when it fits. The group is the window membership; with slot
-        compression there is no group, each character carries its step
-        slot instead, and ``_slot_windows`` turns per-slot counts into
+        int64 when it fits. The group is the window membership
+        (``_window_kgrams``); with slot compression there is no group,
+        each character carries its step slot instead, and ``_slot_kgrams``
+        rolls the per-slot counts up to k = 3, 2, 1 and spreads them into
         per-window counts.
         """
         n_raw = len(lens_raw)
@@ -589,7 +663,6 @@ class BucketWindowStats:
         up = _ascii_upper(cp)
         rank = np.cumsum(np.bincount(up, minlength=1) > 0)
         cbits = _bits(rank[-1])
-        cmask = (1 << cbits) - 1
         ext_start = np.concatenate(([0], np.cumsum(lens_raw + _SENTINELS)))
         ext = np.zeros(int(ext_start[-1]), dtype=np.int64)
         # position in ``ext`` of every raw character
@@ -601,14 +674,16 @@ class BucketWindowStats:
         size, step = self.window_size_us or 0, self.step_us
         sliding = bool(step is not None and step != size and size)
         if sliding and self.slot_compress is None:
-            # adaptive gate: slot compression wins only when slots are
-            # FAT (many chars per (cg, slot)). The slot path is 1.05-1.7x
-            # faster on perfbench transcripts_sliding's calls (520-6600
-            # chars per slot, one CPU). No benchmark workload has sparser
-            # slots; a synthetic sparse input (24 h / 6 h windows, 300k-char
-            # calls) put the crossover near 500-750 chars per slot, so 256
-            # may be low, but that input is not in the repo and the gate
-            # stays where it was until a workload on that side checks it.
+            # adaptive gate: slot compression wins when slots hold many
+            # chars per (cg, slot). Every perfbench transcripts_sliding
+            # call has 520-6600 chars per slot. On a synthetic sparse
+            # input (24 h / 6 h windows, L chars per (cg, slot) in turns of
+            # up to 64 chars, 300k-char calls, one CPU) the expanded path
+            # takes 0.97x the slot path's time at L = 4, 1.07-1.11x at
+            # 8-16, 1.16-1.29x at 64, 1.28-1.32x at 256 and 1.55-1.82x at
+            # 512, so the crossover is below 8 and 256 is high. That input
+            # is not in the repo, and the gate stays until a workload on
+            # the sparse side checks it.
             s_probe = (ts_raw - self.offset_us) // step
             n_slots = len(pd.unique(
                 cg_raw * (np.int64(s_probe.max()) - s_probe.min() + 1)
@@ -622,8 +697,10 @@ class BucketWindowStats:
             # one membership per (row, window): gather each membership's
             # characters
             le = lens_raw[rows]
-            n_chars = np.bincount(codes, weights=le,
-                                  minlength=G).astype(np.int64)
+
+            def kgrams_in(k):
+                return np.bincount(codes, weights=np.maximum(le - k + 1, 0),
+                                   minlength=G)
             pos = np.repeat(ext_start[rows] - np.cumsum(le) + le, le) \
                 + np.arange(int(le.sum()), dtype=np.int64)
             grp = np.repeat(codes, le)
@@ -632,8 +709,12 @@ class BucketWindowStats:
             # windows (c = size/step covers) each raw character is sorted
             # ONCE, by its k-grams and then its (cg, step-slot) ``q``; a
             # window's count of a k-gram is the sum of the k-gram's counts
-            # in the c slots that cover the window (``_slot_windows``). ----
+            # in the c slots that cover the window (``_slot_kgrams``). ----
             c = size // step
+            # ``_slot_kgrams`` runs in int32 when each position of its axes,
+            # at most c per character or row, fits; a group over
+            # _CHUNK_CHARS runs alone and can need int64
+            dt = np.int32 if c * len(ext) <= _I32_MAX else np.int64
             s_raw = (ts_raw - self.offset_us) // step
             smin = np.int64(s_raw.min())
             SL = np.int64(s_raw.max()) - smin + 1
@@ -647,19 +728,24 @@ class BucketWindowStats:
                 valid &= ((ws_cand - self.offset_us) // self.slab_l_us
                           == cg_slab[sq_cg][:, None])
             # window code of (slot q, cover j) at q * c + j, -1 if invalid
-            wc = np.full(valid.shape, -1, dtype=np.int64)
+            wc = np.full(valid.shape, -1, dtype=dt)
             wc[valid] = np.searchsorted(
                 ukey, np.broadcast_to(sq_cg[:, None], valid.shape)[valid]
                 * K1 + np.searchsorted(ws_uniq, ws_cand[valid]))
             wc = wc.ravel()
-            sl_chars = np.bincount(sq_codes, weights=lens_raw,
-                                   minlength=len(sq_uniq)).astype(np.int64)
-            n_chars = np.bincount(
-                wc[wc >= 0], weights=np.repeat(sl_chars, c)[wc >= 0],
-                minlength=G).astype(np.int64)
+            in_call = wc >= 0
+
+            def kgrams_in(k):
+                per_slot = np.bincount(
+                    sq_codes, weights=np.maximum(lens_raw - k + 1, 0),
+                    minlength=len(sq_uniq))
+                return np.bincount(wc[in_call], weights=np.repeat(
+                    per_slot, c)[in_call], minlength=G)
             pos, grp = epos, 0
             q = np.repeat(sq_codes, lens_raw)
-        out["n_chars"] = n_chars
+        # k-grams inside the turns of each window: n_chars at k = 1, and the
+        # denominator of each k's entropy
+        out["n_chars"] = kgrams_in(1).astype(np.int64)
         if len(pos) == 0:
             for name in _TEXT_STATS[:kmax]:
                 out[name] = np.zeros(G, dtype=np.float64)
@@ -678,30 +764,15 @@ class BucketWindowStats:
         starts = np.flatnonzero(new)
         ecnt = np.diff(starts, append=len(hi))
         hi, lo = hi[starts], lo[starts]
-        q = None if q is None else q[starts]
-        new = np.r_[True, hi[1:] != hi[:-1]]
-        denom = n_chars.astype(np.float64)
-        denom[denom == 0] = 1.0
-        for k in range(1, kmax + 1):
-            lo_k = lo >> (cbits * (kmax - k))
-            if k > 1:
-                new[1:] |= lo_k[1:] != lo_k[:-1]
-            # k-grams that end inside their turn
-            keep = (lo_k & cmask) != 0 if k > 1 else slice(None)
-            if sliding:
-                # the k-gram's rank among these keys stands for it
-                item = np.cumsum(new)[keep]
-                w, cnt = _slot_windows(item, q[keep], ecnt[keep], k == kmax,
-                                       sq_cg, sq_slot, wc, c)
-            else:
-                st = np.flatnonzero(new)
-                w = hi[st] >> cbits
-                cnt = np.add.reduceat(ecnt, st)
-                if k > 1:
-                    w, cnt = w[keep[st]], cnt[keep[st]]
-            if k > 1:
-                denom = np.bincount(w, weights=cnt, minlength=G)
-                denom[denom == 0] = 1.0
+        if sliding:
+            pairs = _slot_kgrams(hi, lo, q[starts].astype(dt),
+                                 ecnt.astype(dt), cbits, kmax,
+                                 _slot_axis(sq_cg, sq_slot, c, dt), wc, c)
+        else:
+            pairs = _window_kgrams(hi, lo, ecnt, cbits, kmax)
+        for k, w, cnt in pairs:
+            denom = kgrams_in(k)
+            denom[denom == 0] = 1.0
             out[_TEXT_STATS[k - 1]] = _segment_entropy(w, cnt, G, denom)
 
     def _bigram_rate(self, cp, lens_raw, texts, rows, codes, G, n_chars):

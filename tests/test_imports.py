@@ -81,3 +81,31 @@ def test_stages_import_no_engine_privates():
             if mod == f"{PKG}.state.engine" and private:
                 problems.append(f"{path.relative_to(ROOT)}:{line}: {private}")
     assert not problems, "\n".join(problems)
+
+
+# The paper's engine (ROADMAP, "Size"): these modules import no other
+# package module, so removing an off-paper module cannot break them.
+ENGINE = ("kernels", "windows", "transcripts", "synth", "sinks",
+          "sources.fasta", "pipelines.fasta_compat", "pipelines.flagship",
+          "stages.window_stats", "stages.sessions", "stages.salted",
+          "stages.join_back", "state.engine", "state.runner",
+          "functions.registry")
+
+
+def test_engine_imports_only_engine():
+    """No engine module imports a package module outside the engine,
+    function-local lazy imports included; importing a package itself
+    (its empty ``__init__``) is allowed."""
+    engine = {f"{PKG}.{m}" for m in ENGINE}
+    problems = []
+    for name in sorted(engine):
+        path = ROOT / (name.replace(".", "/") + ".py")
+        for line, mod, names in _imports(path):
+            sub = [f"{mod}.{n}" for n in names if _find(f"{mod}.{n}")]
+            for target in sub or [mod]:
+                spec = _find(target)
+                if target in engine or (
+                        spec and spec.submodule_search_locations):
+                    continue
+                problems.append(f"{path.relative_to(ROOT)}:{line}: {target}")
+    assert not problems, "\n".join(problems)
