@@ -2,11 +2,12 @@
 
 ``window_stats`` sorts on the bucket × slab key and computes each sorted
 block with as few ``BucketWindowStats`` calls as its character budget
-allows; ``write_partitioned`` commits every partition of a sorted block
-from an Arrow slice. These tests pin both to the per-group results and
-to the commit protocol.
+allows; ``write_partitioned`` stages every partition of each block from
+inside its task and commits them from the driver. These tests pin both
+to the per-group results and to the stage/commit protocol.
 """
 
+import glob
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+import fasta_windows_ray.sinks as sinks
 import fasta_windows_ray.stages.window_stats as W
 from fasta_windows_ray import kernels as K
 from fasta_windows_ray.sinks import (read_partitioned, write_partition_block,
@@ -28,9 +30,10 @@ _ASCII = ["alpha", "Beta", "gamma!", "x", " ", '"k', "kk"]
 _MULTI = _ASCII + ["δelta", "東京", "😀", "naïve", "ß"]
 
 
-def _turns(seed: int = 5, n: int = 500, n_convs: int = 12) -> pa.Table:
-    """ASCII and multibyte conversations over ten minutes, with null
-    text, roles and tools mixed in."""
+def _turns(seed: int = 5, n: int = 500, n_convs: int = 12,
+           span_us: int = 600 * S) -> pa.Table:
+    """ASCII and multibyte conversations over ``span_us`` (ten minutes),
+    with null text, roles and tools mixed in."""
     rng = np.random.default_rng(seed)
     conv = rng.integers(0, n_convs, n)
     texts = []
@@ -45,7 +48,7 @@ def _turns(seed: int = 5, n: int = 500, n_convs: int = 12) -> pa.Table:
             ["user", "assistant", "system", "tool", "zzz", None], n)),
         "text": pa.array(texts, pa.string()),
         "tool": pa.array(rng.choice(["", "grep", None], n)),
-        "ts": pa.array(EPOCH + rng.integers(0, 600 * S, n))
+        "ts": pa.array(EPOCH + rng.integers(0, span_us, n))
         .cast(pa.timestamp("us")),
     })
 
@@ -375,6 +378,117 @@ def test_write_partitioned_blocks(ray_session, tmp_path):
     assert list(got.columns) == ["bucket", "x", "s"]
     assert sorted(got["bucket"].value_counts().to_dict().items()) == [
         (3, 15), (7, 6), (9, 12)]
+
+
+def test_block_interleaved_partitions(tmp_path):
+    """A partition in two non-adjacent runs of a block is committed
+    whole, in block order."""
+    root = str(tmp_path / "il")
+    os.makedirs(root)
+    block = pa.table({"bucket": pa.array([3, 3, 7, 3], pa.int64()),
+                      "x": pa.array([1, 2, 3, 4], pa.int64())})
+    rep = write_partition_block(block, root, "bucket").to_pandas()
+    assert rep.to_dict("list") == {"partition": [3, 7], "n_rows": [3, 1],
+                                   "skipped": [False, False]}
+    assert [pd.read_parquet(os.path.join(root, f"part={p}", "data.parquet"))
+            ["x"].tolist() for p in (3, 7)] == [[1, 2, 4], [3]]
+
+
+def _partitions(root: str) -> dict:
+    return {d: pd.read_parquet(os.path.join(root, d, "data.parquet"))
+            for d in sorted(os.listdir(root))}
+
+
+def _pieces(root: str) -> list:
+    return glob.glob(os.path.join(root, "part=*", "piece-*"))
+
+
+def test_slabbed_stats_partitions_match_unslabbed(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Over three days with two-window slabs, buckets span the sorted
+    blocks and interleave inside them; through ``add_bucket`` and
+    ``write_partitioned`` every partition equals the one-slab job's."""
+    import ray.data as rd
+
+    t = _turns(seed=7, n=900, span_us=3 * 86_400 * S)
+    merges = []
+    real = sinks._merge_pieces
+    monkeypatch.setattr(sinks, "_merge_pieces",
+                        lambda jobs: merges.append(len(jobs)) or real(jobs))
+    out = {}
+    for slab in (2, None):
+        ds = rd.from_arrow([t.slice(0, 300), t.slice(300, 300),
+                            t.slice(600)])
+        st = W.window_stats(ds, 6 * 3600 * S, step_us=2 * 3600 * S,
+                            num_buckets=4, slab_windows=slab)
+        root = str(tmp_path / f"slab{slab}")
+        rep = write_partitioned(W.add_bucket(st, 4), root)
+        assert rep["partition"].tolist() == [0, 1, 2, 3]
+        assert not rep["skipped"].any() and not _pieces(root)
+        out[slab] = _partitions(root)
+    assert merges and merges[0] > 0
+    assert list(out[2]) == list(out[None])
+    for d in out[2]:
+        _assert_bits_equal(out[2][d], out[None][d])
+
+
+@pytest.mark.parametrize("target", ["data.parquet", ".done"])
+def test_driver_commit_crash_resumes(ray_session, tmp_path, monkeypatch,
+                                     target):
+    """A crash at either rename of one partition's commit leaves it
+    uncommitted; the rerun equals a fresh run, and no staged piece is
+    left in a committed partition."""
+    import ray.data as rd
+
+    t = pa.concat_tables([_block()] * 3)
+    ds = rd.from_arrow([t.slice(0, 13), t.slice(13)])
+    root = str(tmp_path / "crash")
+    real = os.replace
+
+    def crash_on_7(src, dst):
+        if dst.endswith(os.path.join("part=7", target)):
+            raise OSError("injected crash")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_7)
+    with pytest.raises(OSError, match="injected"):
+        write_partitioned(ds, root)
+    monkeypatch.setattr(os, "replace", real)
+    assert not os.path.exists(os.path.join(root, "part=7", ".done"))
+    assert _pieces(root)
+
+    rep = write_partitioned(ds, root)
+    assert rep.to_dict("list") == {"partition": [3, 7, 9],
+                                   "n_rows": [0, 6, 12],
+                                   "skipped": [True, False, False]}
+    assert not _pieces(root)
+    fresh = str(tmp_path / "fresh")
+    write_partitioned(ds, fresh)
+    canon = lambda df: df.sort_values(["s", "x"]).reset_index(drop=True)  # noqa: E731
+    got, want = _partitions(root), _partitions(fresh)
+    assert list(got) == list(want)
+    for d in got:
+        pd.testing.assert_frame_equal(canon(got[d]), canon(want[d]))
+
+
+def test_aligned_buckets_commit_by_rename(ray_session, tmp_path,
+                                         monkeypatch):
+    """With one slab and equal ``num_buckets``, each bucket lies in one
+    stats block, so every partition commits from a single piece."""
+    import ray.data as rd
+
+    def no_merge(jobs):
+        raise AssertionError(f"merged {sorted(jobs)}")
+
+    monkeypatch.setattr(sinks, "_merge_pieces", no_merge)
+    t = _turns(seed=11, n=600)
+    ds = rd.from_arrow([t.slice(0, 200), t.slice(200, 200), t.slice(400)])
+    st = W.window_stats(ds, 30 * S, step_us=10 * S, num_buckets=4)
+    root = str(tmp_path / "aligned")
+    rep = write_partitioned(W.add_bucket(st, 4), root)
+    assert rep["partition"].tolist() == [0, 1, 2, 3]
+    assert rep["n_rows"].sum() == st.count()
+    assert not _pieces(root)
 
 
 def test_explicit_window_end_column():
