@@ -199,6 +199,12 @@ def add_bucket_slab(ds, num_buckets: int, size_us: int,
 _CHUNK_CHARS = 1 << 18
 _SENTINELS = 3          # zero classes after each turn: 4-grams stay inside
 _I32_MAX = np.iinfo(np.int32).max
+# distinct keys a ``WindowSummary`` k-gram histogram holds exactly; past
+# it the histogram spills (``_merge_hist``). The stream engine promotes a
+# window to a summary once its buffered rows plus text bytes pass it
+KGRAM_CAP = 65_536
+_CP_BITS = 21           # bits of a code point in a summary's k-gram key
+_KMAX = {"counts": 0, "fast": 1, "full": 4}     # longest k-gram per profile
 
 
 def _ascii_upper(arr: np.ndarray) -> np.ndarray:
@@ -339,9 +345,10 @@ def _slot_kgrams(hi: np.ndarray, lo: np.ndarray, q: np.ndarray,
 
 def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
                    cbits: int, kmax: int):
-    """``_slot_kgrams``' pairs for k = 1 .. kmax from the distinct
+    """Yield (k, first, count) for k = 1 .. kmax from the distinct
     (window, k-gram key) rows, ``hi`` = (window, c0): the counts of k are
-    the sums over runs of equal (window, c0 .. c_k-1)."""
+    the sums over runs of equal (window, c0 .. c_k-1), and ``first`` is
+    each run's first row, for the runs of k-grams inside a turn."""
     cmask = (1 << cbits) - 1
     new = np.r_[True, hi[1:] != hi[:-1]]
     for k in range(1, kmax + 1):
@@ -349,12 +356,47 @@ def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
         if k > 1:
             new[1:] |= lo_k[1:] != lo_k[:-1]
         st = np.flatnonzero(new)
-        w = hi[st] >> cbits
         n = np.add.reduceat(cnt, st)
         if k > 1:
             inside = (lo_k[st] & cmask) != 0
-            w, n = w[inside], n[inside]
-        yield k, w, n
+            st, n = st[inside], n[inside]
+        yield k, st, n
+
+
+def _char_classes(cp: np.ndarray, lens_raw: np.ndarray):
+    """The characters of every turn as classes: dense ranks 1..n of their
+    ASCII-folded code points, in code-point order, with ``_SENTINELS``
+    zero classes after each turn. Returns (classes ``ext``, each turn's
+    offset in ``ext``, each character's position in ``ext``, bits of a
+    class, the folded code point of each class c at c - 1)."""
+    n_raw = len(lens_raw)
+    up = _ascii_upper(cp)
+    present = np.bincount(up, minlength=1) > 0
+    rank = np.cumsum(present)
+    ext_start = np.concatenate(([0], np.cumsum(lens_raw + _SENTINELS)))
+    ext = np.zeros(int(ext_start[-1]), dtype=np.int64)
+    epos = np.arange(len(cp), dtype=np.int64) + np.repeat(
+        np.arange(n_raw, dtype=np.int64) * _SENTINELS, lens_raw)
+    ext[epos] = rank[up]
+    return ext, ext_start, epos, _bits(rank[-1]), np.flatnonzero(present)
+
+
+def _distinct_keys(ext: np.ndarray, pos: np.ndarray, grp, cbits: int,
+                   kmax: int, q: np.ndarray | None = None):
+    """The distinct (group, c0 .. c_kmax-1[, q]) keys of the characters at
+    ``pos`` of ``ext`` (``grp`` their groups), sorted, with their counts:
+    (hi = (group, c0), lo = (c1 .. c_kmax-1), q, count)."""
+    lo = np.zeros(len(ext), dtype=np.int64)
+    for j in range(1, kmax):
+        lo[:-j] |= ext[j:] << (cbits * (kmax - 1 - j))
+    hi, lo, q = _sort_pairs((grp << cbits) | ext[pos], lo[pos],
+                            cbits * (kmax - 1), q)
+    new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
+    if q is not None:
+        new[1:] |= q[1:] != q[:-1]
+    starts = np.flatnonzero(new)
+    return (hi[starts], lo[starts], None if q is None else q[starts],
+            np.diff(starts, append=len(hi)))
 
 
 def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
@@ -433,6 +475,26 @@ def _ctw_distinct(keys: list, depth: int) -> np.ndarray:
                        offsets, depth)[codes]
 
 
+def _role_codes(t: pa.Table) -> np.ndarray:
+    """Each row's role as its index in ``ROLE_ORDER`` (unknown roles 4;
+    engine-wide null convention: role null -> "user")."""
+    if "role" not in t.column_names:
+        return np.zeros(t.num_rows, dtype=np.int64)
+    r = _strings(t["role"], "user").dictionary_encode()
+    r_map = np.asarray([ROLE_ORDER.index(x) if x in ROLE_ORDER else 4
+                        for x in r.dictionary.to_pylist()], dtype=np.int64)
+    return r_map[r.indices.to_numpy(zero_copy_only=False)]
+
+
+def _tool_flags(t: pa.Table) -> np.ndarray:
+    """1 for each masked row (a non-empty tool), else 0; a null tool is
+    NOT masked (engine convention: null -> "")."""
+    if "tool" not in t.column_names:
+        return np.zeros(t.num_rows, dtype=np.int64)
+    return pc.not_equal(_strings(t["tool"], ""), "") \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 def role_stats(role_counts: np.ndarray, masked: np.ndarray) -> dict:
     """n_turns, the per-role counts, skews, masked share and role entropy
     of (G, 5) role counts in ``ROLE_ORDER`` and G masked-turn counts."""
@@ -459,6 +521,91 @@ _TEXT_STATS = ("char_entropy", "bigram_diversity", "trigram_diversity",
                "quadgram_diversity")
 
 
+class WindowSummary:
+    """What one window's statistics need of its rows, folded call by call
+    (``BucketWindowStats.fold``) and finished into the row ``table`` gives
+    on the same rows (``BucketWindowStats.finish``).
+
+    It holds the role counts (in ``ROLE_ORDER``), the masked and
+    designated-bigram counts and the last ts; for k = 1..4, ``hist[k - 1]``
+    = (hi, lo, count): the window's distinct k-grams in ascending order
+    with their counts, a k-gram keyed by its ASCII-folded code points
+    (``hi`` the first, ``lo`` the others, ``_CP_BITS`` bits each), and
+    ``totals[k - 1]``, its k-grams in all. ``seq`` keeps the (ts,
+    turn_uid, role code[, text]) rows in arrival order, only when CTW
+    needs them; ``custom`` holds the caller's aggregate states.
+    """
+
+    __slots__ = ("roles", "masked", "bigrams", "last_ts", "hist", "totals",
+                 "seq", "custom")
+
+    def __init__(self):
+        self.roles = np.zeros(5, dtype=np.int64)
+        self.masked = 0
+        self.bigrams = 0
+        self.last_ts = int(np.iinfo(np.int64).min)
+        empty = np.zeros(0, dtype=np.int64)
+        self.hist = [(empty, empty, empty)] * 4
+        self.totals = np.zeros(4, dtype=np.int64)
+        self.seq: pa.Table | None = None
+        self.custom: list | None = None
+
+    def spilled(self, k: int | None = None) -> bool:
+        """Whether the histogram of k (of any k) dropped keys."""
+        return any(self.totals[j] > self.hist[j][2].sum()
+                   for j in ([k - 1] if k else range(4)))
+
+
+def _kgram_keys(cp: np.ndarray, lens: np.ndarray, win: np.ndarray,
+                kmax: int):
+    """Yield (k, window, hi, lo, count) for k = 1 .. kmax: every distinct
+    k-gram inside the turns of each window, sorted by (window, k-gram),
+    from one sort of the expanded path's keys (turn i lies in window
+    ``win[i]``). Keys are ``WindowSummary``'s: the same k-gram has the
+    same key in every call, and keys sort as ``table``'s classes do."""
+    ext, _, epos, cbits, cls = _char_classes(cp, lens)
+    hi, lo, _, cnt = _distinct_keys(ext, epos, np.repeat(win, lens), cbits,
+                                    kmax)
+    cmask = (1 << cbits) - 1
+    for k, st, n in _window_kgrams(hi, lo, cnt, cbits, kmax):
+        h, rest = hi[st], lo[st] >> (cbits * (kmax - k))
+        key_lo = np.zeros(len(st), dtype=np.int64)
+        for j in range(1, k):
+            c = (rest >> (cbits * (k - 1 - j))) & cmask
+            key_lo |= cls[c - 1] << (_CP_BITS * (k - 1 - j))
+        yield k, h >> cbits, cls[(h & cmask) - 1], key_lo, n
+
+
+def _merge_hist(sums: list, k: int, w: np.ndarray, hi: np.ndarray,
+                lo: np.ndarray, n: np.ndarray, cap: int = KGRAM_CAP) -> None:
+    """Add the counts ``n`` of the k-grams (``hi``, ``lo``) to the
+    histograms of k of ``sums[w]``: one grouped sum over their keys and
+    the new ones. A histogram past ``cap`` distinct keys spills: from then
+    on it keeps only its ``cap // 16`` heaviest keys, and its total."""
+    j = k - 1
+    old = [s.hist[j] for s in sums]
+    W = len(sums)
+    ww = np.r_[np.repeat(np.arange(W), [len(o[2]) for o in old]), w]
+    hh, ll, nn = (np.concatenate([o[i] for o in old] + [x])
+                  for i, x in enumerate((hi, lo, n)))
+    if not len(ww):
+        return
+    order = np.lexsort((ll, hh, ww))
+    ww, hh, ll, nn = ww[order], hh[order], ll[order], nn[order]
+    st = np.flatnonzero(np.r_[True, (ww[1:] != ww[:-1]) | (hh[1:] != hh[:-1])
+                              | (ll[1:] != ll[:-1])])
+    ww, hh, ll, nn = ww[st], hh[st], ll[st], np.add.reduceat(nn, st)
+    cut = np.searchsorted(ww, np.arange(W + 1))
+    added = np.bincount(w, weights=n, minlength=W).astype(np.int64)
+    for i, s in enumerate(sums):
+        keep = np.arange(cut[i], cut[i + 1])
+        if len(keep) > cap or s.spilled(k):
+            keep = keep[np.sort(np.argsort(-nn[keep], kind="stable")
+                                [:cap // 16])]
+        s.hist[j] = (hh[keep], ll[keep], nn[keep])
+        s.totals[j] += added[i]
+
+
 class BucketWindowStats:
     """Vectorized window stats over a batch of turns holding whole groups
     (all turns of each conversation × slab in it). Stateless; a class so
@@ -479,6 +626,9 @@ class BucketWindowStats:
         # slot_compress: None = auto (chars-per-slot crossover gate),
         # True/False force the sliding char-stats path (tests force both
         # and assert bit-equality)
+        if len(bigram) != 2:
+            raise ValueError(f"bigram={bigram!r}: the designated bigram "
+                             "has exactly two characters")
         self.slot_compress = slot_compress
         self.profile = profile
         self.ctw_text = ctw_text
@@ -536,15 +686,7 @@ class BucketWindowStats:
         conv = conv.dictionary_encode()
         conv_raw = conv.indices.to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        if "role" in names:
-            # engine-wide null convention: role null -> "user"
-            r = _strings(t["role"], "user").dictionary_encode()
-            r_map = np.asarray([ROLE_ORDER.index(x) if x in ROLE_ORDER
-                                else 4 for x in r.dictionary.to_pylist()],
-                               dtype=np.int64)
-            role5_raw = r_map[r.indices.to_numpy(zero_copy_only=False)]
-        else:
-            role5_raw = np.zeros(n_raw, dtype=np.int64)
+        role5_raw = _role_codes(t)
         # ---- window assignment / fan-out: ``rows`` indexes the raw row
         # behind each emitted (row, window) membership pair ----
         size = self.window_size_us or 0
@@ -608,13 +750,8 @@ class BucketWindowStats:
         role5_e = role5_raw[rows]
         role_counts = np.bincount(codes * 5 + role5_e,
                                   minlength=G * 5).reshape(G, 5)
-        if "tool" in names:
-            # null tool is NOT masked (engine convention: null -> "")
-            has_tool = pc.not_equal(_strings(t["tool"], ""), "") \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            masked = np.bincount(codes, weights=has_tool[rows], minlength=G)
-        else:
-            masked = np.zeros(G)
+        masked = np.bincount(codes, weights=_tool_flags(t)[rows],
+                             minlength=G)
         out.update(role_stats(role_counts, masked))
 
         zeros = np.zeros(G, dtype=np.float64)
@@ -625,16 +762,18 @@ class BucketWindowStats:
             out["n_chars"] = np.zeros(G, dtype=np.int64)
             return self._frame(out, empty.schema)
 
-        texts = t["text"]
-        cp, lens_raw = _text_codes(texts)
+        cp, lens_raw = _text_codes(t["text"])
         self._text_stats(out, cp, lens_raw, rows, codes, G, ts_raw,
                          cg_raw, cg_slab, ws_uniq, ukey, K1)
         if self.profile == "fast":
             for name in _TEXT_STATS[1:] + ("bigram_rate",):
                 out[name] = zeros
         else:
-            out["bigram_rate"] = self._bigram_rate(
-                cp, lens_raw, texts, rows, codes, G, out["n_chars"])
+            denom = out["n_chars"].astype(np.float64)
+            denom[denom == 0] = 1.0
+            out["bigram_rate"] = np.bincount(
+                codes, weights=self._bigram_counts(cp, lens_raw)[rows],
+                minlength=G) / denom
         self._finish_ctw(out, G, t, rows, ts_e, codes, role5_e)
         return self._frame(out, empty.schema)
 
@@ -658,18 +797,9 @@ class BucketWindowStats:
         rolls the per-slot counts up to k = 3, 2, 1 and spreads them into
         per-window counts.
         """
-        n_raw = len(lens_raw)
         nb = len(cp)
-        up = _ascii_upper(cp)
-        rank = np.cumsum(np.bincount(up, minlength=1) > 0)
-        cbits = _bits(rank[-1])
-        ext_start = np.concatenate(([0], np.cumsum(lens_raw + _SENTINELS)))
-        ext = np.zeros(int(ext_start[-1]), dtype=np.int64)
-        # position in ``ext`` of every raw character
-        epos = np.arange(nb, dtype=np.int64) + np.repeat(
-            np.arange(n_raw, dtype=np.int64) * _SENTINELS, lens_raw)
-        ext[epos] = rank[up]
-        kmax = 1 if self.profile == "fast" else 4
+        ext, ext_start, epos, cbits, _ = _char_classes(cp, lens_raw)
+        kmax = _KMAX[self.profile]
 
         size, step = self.window_size_us or 0, self.step_us
         sliding = bool(step is not None and step != size and size)
@@ -751,51 +881,37 @@ class BucketWindowStats:
                 out[name] = np.zeros(G, dtype=np.float64)
             return
 
-        lo = np.zeros(len(ext), dtype=np.int64)
-        for j in range(1, kmax):
-            lo[:-j] |= ext[j:] << (cbits * (kmax - 1 - j))
-        hi, lo, q = _sort_pairs((grp << cbits) | ext[pos], lo[pos],
-                                cbits * (kmax - 1), q)
         # distinct (group, c0..c3[, slot]) keys with their counts; every
         # k below works on these
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
+        hi, lo, q, ecnt = _distinct_keys(ext, pos, grp, cbits, kmax, q)
         if sliding:
-            new[1:] |= q[1:] != q[:-1]
-        starts = np.flatnonzero(new)
-        ecnt = np.diff(starts, append=len(hi))
-        hi, lo = hi[starts], lo[starts]
-        if sliding:
-            pairs = _slot_kgrams(hi, lo, q[starts].astype(dt),
-                                 ecnt.astype(dt), cbits, kmax,
+            pairs = _slot_kgrams(hi, lo, q.astype(dt), ecnt.astype(dt),
+                                 cbits, kmax,
                                  _slot_axis(sq_cg, sq_slot, c, dt), wc, c)
         else:
-            pairs = _window_kgrams(hi, lo, ecnt, cbits, kmax)
+            pairs = ((k, hi[st] >> cbits, n) for k, st, n
+                     in _window_kgrams(hi, lo, ecnt, cbits, kmax))
         for k, w, cnt in pairs:
             denom = kgrams_in(k)
             denom[denom == 0] = 1.0
             out[_TEXT_STATS[k - 1]] = _segment_entropy(w, cnt, G, denom)
 
-    def _bigram_rate(self, cp, lens_raw, texts, rows, codes, G, n_chars):
-        """Designated-bigram count / n_chars (A9; non-self-overlapping,
-        never crossing turn boundaries)."""
-        nb = len(cp)
+    def _bigram_counts(self, cp: np.ndarray,
+                       lens_raw: np.ndarray) -> np.ndarray:
+        """Occurrences of the designated bigram (A9) in each turn: every
+        one, overlapping ones included ("aa" occurs 3 times in "aaaa"),
+        as the reference's sliding di-k-mer count; none crosses a turn
+        boundary."""
         n_raw = len(lens_raw)
-        if len(self.bigram) == 2 and nb >= 2:
-            b0, b1 = (ord(ch) for ch in self.bigram)
-            m = (cp[:-1] == b0) & (cp[1:] == b1)
-            ends = np.cumsum(lens_raw) - 1
-            ends = ends[(ends >= 0) & (ends < len(m))]
-            m[ends] = False                      # cross-turn matches
-            row_of_pos = np.repeat(np.arange(n_raw), lens_raw)[: len(m)]
-            big_raw = np.bincount(row_of_pos[m], minlength=n_raw)
-        else:
-            big_raw = np.fromiter(
-                (s.count(self.bigram)
-                 for s in _strings(texts, "").to_pylist()),
-                dtype=np.int64, count=n_raw)
-        denom = n_chars.astype(np.float64)
-        denom[denom == 0] = 1.0
-        return np.bincount(codes, weights=big_raw[rows], minlength=G) / denom
+        if len(cp) < 2:
+            return np.zeros(n_raw, dtype=np.int64)
+        b0, b1 = (ord(ch) for ch in self.bigram)
+        m = (cp[:-1] == b0) & (cp[1:] == b1)
+        ends = np.cumsum(lens_raw) - 1
+        ends = ends[(ends >= 0) & (ends < len(m))]
+        m[ends] = False                      # cross-turn matches
+        row_of_pos = np.repeat(np.arange(n_raw), lens_raw)[: len(m)]
+        return np.bincount(row_of_pos[m], minlength=n_raw)
 
     def _finish_ctw(self, out, G, t, rows, ts_e, codes, role5_e):
         # ---- order-dependent per-window kernels (CTW) ----
@@ -856,6 +972,96 @@ class BucketWindowStats:
                 out[f"kgram_freq_k{k}"] = pa.ListArray.from_arrays(
                     pa.array(np.arange(0, G * V + 1, V, dtype=np.int32)),
                     pa.array(mat.ravel()))
+
+    def _need_seq(self) -> bool:
+        """Whether a window's stats need its rows in order (CTW)."""
+        return self.profile != "counts" and (
+            self.ctw_depth >= 0 or self.ctw_text or self.kgram_freqs)
+
+    def fold(self, sums: list[WindowSummary], t: pa.Table,
+             win: np.ndarray) -> None:
+        """Add the stream engine's log rows ``t`` (``ts``, ``turn_uid``,
+        ``role``, ``text``, ``tool``), one per window membership and each
+        window's in arrival order, to the summaries: row i to
+        ``sums[win[i]]``. The k-gram keys of all rows come from one sort
+        and merge into the histograms by one grouped sum per k
+        (``_merge_hist``, which spills a histogram past ``KGRAM_CAP``
+        keys)."""
+        W = len(sums)
+        ts = _int64_us(t["ts"])
+        role5 = _role_codes(t)
+        roles = np.bincount(win * 5 + role5, minlength=W * 5).reshape(W, 5)
+        masked = np.bincount(win, weights=_tool_flags(t), minlength=W)
+        last = np.full(W, np.iinfo(np.int64).min, dtype=np.int64)
+        np.maximum.at(last, win, ts)
+        big = np.zeros(W)
+        kmax = _KMAX[self.profile]
+        if kmax:
+            cp, lens = _text_codes(t["text"])
+            if self.profile == "full":
+                big = np.bincount(win, weights=self._bigram_counts(cp, lens),
+                                  minlength=W)
+            if len(cp):
+                for k, w, hi, lo, n in _kgram_keys(cp, lens, win, kmax):
+                    _merge_hist(sums, k, w, hi, lo, n)
+        for i, s in enumerate(sums):
+            s.roles += roles[i]
+            s.masked += int(masked[i])
+            s.bigrams += int(big[i])
+            s.last_ts = max(s.last_ts, int(last[i]))
+        if self._need_seq():
+            seq = pa.table({"ts": ts, "turn_uid": t["turn_uid"],
+                            "role": role5.astype(np.int8),
+                            **({"text": t["text"]} if self.ctw_text
+                               else {})})
+            order = np.argsort(win, kind="stable")
+            cut = np.searchsorted(win[order], np.arange(W + 1))
+            for i, s in enumerate(sums):
+                mine = seq.take(order[cut[i]:cut[i + 1]])
+                s.seq = mine if s.seq is None else pa.concat_tables(
+                    [s.seq, mine])
+
+    def finish(self, sums: list[WindowSummary], conv_id: list,
+               start, end) -> pa.Table:
+        """One stats row per summary: ``table``'s row on the summary's
+        rows, for the windows (``conv_id``, ``start``) ending at ``end``
+        (epoch us). A spilled histogram takes the k-grams it dropped as
+        one more symbol."""
+        G = len(sums)
+        out: dict = {"conv_id": pa.array(conv_id, pa.string())}
+        for name, v in (("window_start", start), ("window_end", end),
+                        ("last_ts", [s.last_ts for s in sums])):
+            out[name] = np.asarray(v, dtype=np.int64).astype("datetime64[us]")
+        out.update(role_stats(np.stack([s.roles for s in sums]),
+                              np.array([s.masked for s in sums], np.float64)))
+        totals = np.stack([s.totals for s in sums])
+        out["n_chars"] = totals[:, 0]
+        zeros = np.zeros(G, dtype=np.float64)
+        for name in _TEXT_STATS + ("bigram_rate", "ctw_roles_bpb",
+                                   "ctw_text_bpb"):
+            out[name] = zeros
+        denom = totals.astype(np.float64)
+        denom[denom == 0] = 1.0
+        for k in range(1, _KMAX[self.profile] + 1):
+            cnt = []
+            for s in sums:
+                c = s.hist[k - 1][2]
+                rest = s.totals[k - 1] - c.sum()
+                cnt.append(np.r_[c, rest] if rest else c)
+            out[_TEXT_STATS[k - 1]] = _segment_entropy(
+                np.repeat(np.arange(G), [len(c) for c in cnt]),
+                np.concatenate(cnt), G, denom[:, k - 1])
+        if self.profile == "full":
+            out["bigram_rate"] = np.array([s.bigrams for s in sums],
+                                          np.float64) / denom[:, 0]
+        if self._need_seq():
+            t = pa.concat_tables([s.seq for s in sums])
+            self._finish_ctw(out, G, t, np.arange(t.num_rows),
+                             t["ts"].to_numpy(),
+                             np.repeat(np.arange(G),
+                                       [s.seq.num_rows for s in sums]),
+                             t["role"].to_numpy().astype(np.int64))
+        return self._frame(out, self._schema(pa.string()))
 
     def _frame(self, out: dict, schema: pa.Schema) -> pa.Table:
         return pa.Table.from_arrays(

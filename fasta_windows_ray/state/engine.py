@@ -25,15 +25,19 @@ One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
   order; in updates mode, only when no covering window is live), and
   exact ``(turn_uid, ts)`` replays are dropped as duplicates
   (``seen_uids``, pruned below the watermark);
-- **per-window accumulators** (``_WindowAcc``: role/char/k-gram
-  histograms, with ``_BoundedKgrams`` past ``KGRAM_CAP`` distinct
-  k-grams) only for a final-mode log window whose buffered rows plus
-  characters pass ``KGRAM_CAP`` (it is promoted: its rows fold into an
-  accumulator, which bounds its memory, and ``Metrics.windows_promoted``
-  counts it);
+- a **summary** (``WindowSummary``) for each final-mode log window whose
+  buffered rows plus text bytes pass ``KGRAM_CAP``: the window is
+  promoted, its log rows fold into the summary, which bounds its memory,
+  and ``Metrics.windows_promoted`` counts it. Each call folds the rows of
+  every promoted window with the kernel module's own code
+  (``BucketWindowStats.fold``: one character sort, one grouped sum into
+  the k-gram histograms) and emits a closed one with
+  ``BucketWindowStats.finish``, so its row equals the kernel's on the
+  same rows; a histogram past ``KGRAM_CAP`` distinct k-grams keeps its
+  heaviest keys only (``Metrics.kgram_spills``);
 - **checkpoint/resume**: ``snapshot()``/``restore()`` round-trip the whole
-  state (row log, open sessions, count positions, accumulators,
-  revisions, watermark, dedup sets, metrics).
+  state (row log, open sessions, count positions, summaries, revisions,
+  watermark, dedup sets, metrics).
 
 Late and duplicate checks are per row, against the watermark of the
 rows before it, and so are the panes a row fires; so draining once per
@@ -53,9 +57,9 @@ order (bounded disorder allowed up to ``lateness_us``).
 from __future__ import annotations
 
 import heapq
+import io
 import math
 import pickle
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,56 +67,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .. import kernels as K
-from ..stages.window_stats import (_CHUNK_CHARS, STATS_COLUMNS,
-                                   BucketWindowStats, _group_chunks)
+from ..stages.window_stats import (_CHUNK_CHARS, KGRAM_CAP, STATS_COLUMNS,
+                                   BucketWindowStats, WindowSummary,
+                                   _group_chunks)
 from ..windows import sliding_starts_expand, tumbling_start
-
-ROLE_IDX = {"user": 0, "assistant": 1, "system": 2, "tool": 3, "other": 4}
-
-# ASCII-only case fold — length-preserving, matching the vectorized
-# path's _ascii_upper and the documented engine-wide folding definition
-# (str.upper() can change length, e.g. 'ß' -> 'SS', and would desync
-# n_chars from the char-offset corpus)
-_ASCII_UP = str.maketrans("abcdefghijklmnopqrstuvwxyz",
-                          "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-# distinct-k-gram cap before a window's histogram spills to the bounded
-# sketch (count-min + Misra-Gries); spills are surfaced via
-# Metrics.kgram_spills so approximate windows are attributable. A window
-# of the row log whose buffered rows plus UTF-8 text bytes pass the same
-# cap moves to an accumulator (Metrics.windows_promoted)
-KGRAM_CAP = 65_536
-
-
-def _text_stats(text: str, up: str, bigram: str):
-    """Per-text histograms, computed ONCE per row.
-
-    Returns (n_chars, char_counts, (kg2, kg3, kg4), bigram_count).
-    Char histogram keyed by CODEPOINT (not UTF-8 byte): keeps the
-    denominator (chars) and the classes consistent on multibyte text,
-    matching the vectorized path and the SQL oracle's substr-per-character
-    semantics (round-1 ADVICE). Pure-ASCII strings iterate the encoded
-    bytes (same values, faster). Counter counts in C; merged counts are
-    bit-identical to per-occurrence increments.
-    """
-    cc = Counter(up.encode() if up.isascii() else map(ord, up))
-    kgs = []
-    for k in (2, 3, 4):
-        n = len(up) - k + 1
-        kgs.append(Counter([up[i:i + k] for i in range(n)]) if n > 0
-                   else {})
-    return len(up), cc, kgs, text.count(bigram)
-
-
-def _merge_counts(dst: dict, src) -> None:
-    """dst[g] += c for every (g, c) in src; C-speed copy when dst empty."""
-    if dst:
-        get = dst.get
-        for g, c in src.items():
-            dst[g] = get(g, 0) + c
-    else:
-        dst.update(src)
 
 
 @dataclass
@@ -148,218 +106,6 @@ class WindowConfig:
     early_fire_every: int = 0
 
 
-class _BoundedKgrams:
-    """Spilled k-gram histogram with BOUNDED memory (north_rule's
-    count-min k-gram sketch): a count-min sketch (depth x width int64)
-    plus a Misra-Gries heavy-hitter table.
-    Created only when a window exceeds ``KGRAM_CAP`` distinct k-grams —
-    below the cap the accumulator keeps an exact plain dict
-    (bit-identical stats, the path every oracle-gated window takes).
-    Diversity on a spilled histogram is approximate (heavy hitters + one
-    aggregated tail term, a lower bound) and surfaced via
-    Metrics.kgram_spills.
-    """
-
-    __slots__ = ("cms", "hh", "total", "cap", "depth", "width")
-
-    def __init__(self, exact: dict, cap: int = KGRAM_CAP, depth: int = 4,
-                 width: int = 1 << 15):
-        self.total = sum(exact.values())
-        self.cap = cap
-        self.depth = depth
-        self.width = width
-        cms = np.zeros((depth, width), dtype=np.int64)
-        for g, c in exact.items():
-            for d, r in enumerate(self._rows(g)):
-                cms[d, r] += c
-        # seed heavy hitters with the current top cap//16 keys
-        self.cms = cms
-        self.hh = dict(sorted(exact.items(),
-                              key=lambda kv: -kv[1])[:cap // 16])
-
-    def _rows(self, g) -> list[int]:
-        import zlib
-        b = g.encode()
-        return [zlib.crc32(b, 0x9E3779B9 * (d + 1) & 0xFFFFFFFF)
-                % self.width for d in range(self.depth)]
-
-    def add(self, g, c: int = 1):
-        self.total += c
-        for d, r in enumerate(self._rows(g)):
-            self.cms[d, r] += c
-        hh = self.hh
-        if g in hh:
-            hh[g] += c
-        elif len(hh) < self.cap // 16:
-            hh[g] = c
-        else:                           # Misra-Gries decrement step
-            dead = [k for k in hh if hh[k] <= c]
-            for k in dead:
-                del hh[k]
-            if dead:
-                hh[g] = c
-
-    def entropy(self) -> float:
-        # approximate: heavy hitters exact-ish, tail mass as one symbol
-        n = self.total
-        if n <= 0:
-            return 0.0
-        hh_counts = [c for c in self.hh.values() if c > 0]
-        rest = n - sum(hh_counts)
-        counts = hh_counts + ([rest] if rest > 0 else [])
-        return K.entropy_from_counts(sorted(counts))
-
-
-class _WindowAcc:
-    """Rolling accumulation for one promoted final-mode window."""
-
-    __slots__ = ("role_counts", "masked", "char_counts", "kg", "kg_spill",
-                 "big_cnt", "n_chars", "turns", "texts", "custom", "last_ts")
-
-    def __init__(self):
-        self.role_counts = [0] * 5
-        self.masked = 0
-        self.char_counts: dict[int, int] = {}
-        self.kg: list = [{}, {}, {}]    # exact k-gram dicts (k=2,3,4)
-        self.kg_spill: dict | None = None   # {k_index: _BoundedKgrams}
-        self.big_cnt = 0
-        self.n_chars = 0
-        # (ts, turn_uid, role) kept ONLY when an order-dependent stat
-        # (CTW) needs the sequence; otherwise a huge window's accumulator
-        # holds ints only (round-1 VERDICT #9)
-        self.turns: list[tuple] | None = []
-        self.texts: dict = {}           # (ts, turn_uid) -> text (ctw_text only)
-        self.custom: dict | None = None # custom-aggregate states (lazy)
-        self.last_ts: int | None = None     # running max ts
-
-    def __setstate__(self, state):
-        """Unpickle; an accumulator pickled before ``last_ts`` existed
-        (it kept ``_ts_counts`` and ``_nt``) takes its max ts from its
-        ``_ts_counts`` or ``turns``."""
-        slots = state[1]
-        ts_counts = slots.pop("_ts_counts", None)
-        slots.pop("_nt", None)
-        if "last_ts" not in slots:
-            slots["last_ts"] = max([*(ts_counts or ()), *(
-                t[0] for t in slots["turns"] or ())], default=None)
-        for k, v in slots.items():
-            setattr(self, k, v)
-
-    @staticmethod
-    def _need_seq(cfg: WindowConfig) -> bool:
-        return (cfg.ctw_depth >= 0 and cfg.profile in ("full", "fast")) \
-            or cfg.ctw_text
-
-    def add(self, ts: int, turn_uid, role: str, text: str, tool: str,
-            cfg: WindowConfig, stats=None):
-        self.role_counts[ROLE_IDX.get(role, 4)] += 1
-        if tool:
-            self.masked += 1
-        if self.last_ts is None or ts > self.last_ts:
-            self.last_ts = ts
-        if self._need_seq(cfg):
-            self.turns.append((ts, turn_uid, role))
-        else:
-            self.turns = None           # ints-only state
-        if cfg.ctw_text:
-            self.texts[(ts, turn_uid)] = text
-        if cfg.custom_aggs:
-            from ..functions import registry
-            if self.custom is None:
-                self.custom = {n: registry.get(n).init()
-                               for n in cfg.custom_aggs}
-            row = {"ts": ts, "turn_uid": turn_uid, "role": role,
-                   "text": text, "tool": tool}
-            for n in cfg.custom_aggs:
-                registry.get(n).add(self.custom[n], row)
-        if cfg.profile == "counts":
-            return
-        if stats is None:
-            up = text.translate(_ASCII_UP)
-            stats = _text_stats(text, up, cfg.bigram)
-        n_chars, cc, kgs, big = stats
-        self.n_chars += n_chars
-        _merge_counts(self.char_counts, cc)
-        spill = self.kg_spill
-        for j in (0, 1, 2):
-            src = kgs[j]
-            if not src:
-                continue
-            d = self.kg[j]
-            if d is None:               # already spilled for this k
-                bk = spill[j]
-                for g, c in src.items():
-                    bk.add(g, c)
-                continue
-            _merge_counts(d, src)
-            if len(d) > KGRAM_CAP:
-                if spill is None:
-                    spill = self.kg_spill = {}
-                spill[j] = _BoundedKgrams(d)
-                self.kg[j] = None
-        self.big_cnt += big
-
-    def finalize(self, conv_id: str, start_us: int, end_us: int,
-                 cfg: WindowConfig) -> dict:
-        """Emit the window's stats row. Timestamps are emitted as int64
-        epoch-microseconds; ``emitted_to_frame`` converts to
-        datetime64[us] in one vectorized pass (per-row np.datetime64
-        construction profiled as a finalize hot spot)."""
-        rc = self.role_counts
-        n_turns = sum(rc)
-        a, c, g, t = rc[0], rc[1], rc[2], rc[3]
-
-        def ratio(num, den):
-            return num / den if den else (math.nan if num == 0
-                                          else math.copysign(math.inf, num))
-
-        turns = sorted(self.turns) if self.turns is not None else []
-        last = start_us if self.last_ts is None else self.last_ts
-        row = {
-            "conv_id": conv_id,
-            "window_start": start_us,
-            "window_end": end_us,
-            "last_ts": last,
-            "n_turns": n_turns,
-            "n_user": a, "n_assistant": c, "n_system": g, "n_tool": t,
-            "n_other": rc[4],
-            "sys_asst_share": ratio(g + c, g + c + a + t),
-            "sys_asst_skew": ratio(g - c, g + c),
-            "user_tool_skew": ratio(a - t, a + t),
-            "masked_share": ratio(self.masked, n_turns),
-            "role_entropy": K.entropy_from_counts(rc),
-            "n_chars": self.n_chars,
-        }
-        denom = self.n_chars if self.n_chars else 1
-        # ascending-bin iteration matches the vectorized batch path
-        cc = self.char_counts
-        row["char_entropy"] = K.entropy_from_counts(
-            [cc[b] for b in sorted(cc)], denom=self.n_chars) if cc else 0.0
-        for j, name in ((0, "bigram_diversity"), (1, "trigram_diversity"),
-                        (2, "quadgram_diversity")):
-            d = self.kg[j]
-            if d is None:
-                row[name] = self.kg_spill[j].entropy()
-            elif d:
-                row[name] = K.entropy_from_counts([d[g] for g in sorted(d)])
-            else:
-                row[name] = 0.0
-        row["bigram_rate"] = self.big_cnt / denom
-        row["ctw_roles_bpb"] = (K.ctw_roles(
-            [r for _, _, r in turns], cfg.ctw_depth)
-            if cfg.profile in ("full", "fast") else 0.0)
-        row["ctw_text_bpb"] = (K.ctw_text_classes(
-            [self.texts[(t0, t1)] for t0, t1, _ in turns], cfg.ctw_depth)
-            if cfg.ctw_text else 0.0)
-        if cfg.custom_aggs:
-            from ..functions import registry
-            for n in cfg.custom_aggs:
-                row[n] = (registry.get(n).emit(self.custom[n])
-                          if self.custom is not None
-                          else registry.get(n).emit(registry.get(n).init()))
-        return row
-
-
 @dataclass
 class Metrics:
     rows_in: int = 0
@@ -371,7 +117,7 @@ class Metrics:
     late_updates: int = 0     # updates mode: re-emissions caused by late rows
     windows_expired: int = 0  # updates mode: retained windows GC'd at retention
     early_panes: int = 0      # speculative panes fired before the watermark
-    windows_promoted: int = 0  # log windows moved to an accumulator
+    windows_promoted: int = 0  # log windows moved to a summary
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -408,9 +154,12 @@ def _text_bytes(t: pa.Table) -> np.ndarray:
         .astype(np.int64)
 
 
+_ROW_KEYS = ("ts", "turn_uid", "role", "text", "tool")
+
+
 def _row_values(t: pa.Table):
     """(ts, uid, role, text, tool) per row of a log table, with the
-    engine's null conventions, as ``_WindowAcc.add`` takes them."""
+    engine's null conventions, as custom aggregates see them."""
     return zip(t["ts"].to_pylist(), t["turn_uid"].to_pylist(),
                pc.fill_null(t["role"], "user").to_pylist(),
                pc.fill_null(t["text"], "").to_pylist(),
@@ -463,8 +212,8 @@ class StreamEngine:
         self.watermark = -(1 << 62)
         self.max_ts = -(1 << 62)
         # promoted final-mode windows: (conv_id, start | window id) ->
-        # _WindowAcc
-        self.open: dict[tuple, _WindowAcc] = {}
+        # summary
+        self.open: dict[tuple, WindowSummary] = {}
         self.heap: list[tuple] = []      # (window_end, conv_id, start)
         # open session of each conv: [ordinal, first ts, last ts]
         self.open_sessions: dict[str, list] = {}
@@ -662,58 +411,82 @@ class StreamEngine:
         """Add each membership's cost to its log window's buffered cost.
         Returns the memberships of promoted windows (positions) and the
         windows now past ``KGRAM_CAP``."""
-        book, accs = self._log_cost, self.open
-        to_acc, over = [], set()
+        book, sums = self._log_cost, self.open
+        to_sum, over = [], set()
         for j, key, c in zip(range(len(starts)), zip(conv, starts.tolist()),
                              cost.tolist()):
-            if key in accs:
-                to_acc.append(j)
+            if key in sums:
+                to_sum.append(j)
                 continue
             c += book.get(key, 0)
             book[key] = c
             if c > KGRAM_CAP:
                 over.add(key)
-        return to_acc, over
+        return to_sum, over
 
     def _append(self, new: pa.Table, wm0: int) -> None:
         """Log the accepted rows ``new``; a window whose buffered cost
-        passes ``KGRAM_CAP`` is promoted to an accumulator, and rows of
-        promoted windows go to theirs."""
+        passes ``KGRAM_CAP`` is promoted to a summary, and rows of
+        promoted windows fold into theirs."""
         r, s, conv = self._windows_of(new, wm0)
-        to_acc, over = self._add_costs(conv, s, (1 + _text_bytes(new))[r])
-        if to_acc:
+        to_sum, over = self._add_costs(conv, s, (1 + _text_bytes(new))[r])
+        if to_sum:
             # a row whose every window is promoted stays out of the log
             live = np.ones(len(r), dtype=bool)
-            live[to_acc] = False
+            live[to_sum] = False
             self.log = pa.concat_tables([self.log, new.filter(
                 np.bincount(r[live], minlength=new.num_rows) > 0)])
-            vals = list(_row_values(new))
-            for j in to_acc:
-                self.open[(conv[j], int(s[j]))].add(*vals[r[j]], self.cfg)
         else:
             self.log = pa.concat_tables([self.log, new])
+        parts = [(new.take(r[to_sum]), conv[to_sum], s[to_sum])]
         if over:
-            self._promote(sorted(over), wm0)
+            parts.append(self._promote(over, wm0))
+        t, conv, s = zip(*parts)
+        if sum(x.num_rows for x in t):
+            self._fold(pa.concat_tables(t), np.concatenate(conv),
+                       np.concatenate(s))
 
-    def _promote(self, keys: list, wm0: int) -> None:
-        """Fold the log rows of each window in ``keys`` into a new
-        accumulator, in arrival order, and drop the log rows whose
-        unemitted windows are all promoted."""
+    def _promote(self, keys: set, wm0: int) -> tuple:
+        """Give each window in ``keys`` a new summary, and drop the log
+        rows whose unemitted windows are all promoted. Returns the
+        memberships of the windows' log rows, to fold: (rows, conv_id,
+        start), in arrival order."""
         cfg, log = self.cfg, self.log
-        r, s, conv = self._windows_of(log, wm0)
-        for key in keys:
-            acc = _WindowAcc()
-            mine = r[(conv == key[0]) & (s == key[1])]
-            for v in _row_values(log.take(mine)):
-                acc.add(*v, cfg)
-            self.open[key] = acc
+        aggs = self._aggs()
+        for key in sorted(keys):
+            sm = self.open[key] = WindowSummary()
+            if aggs:
+                sm.custom = [agg.init() for agg in aggs]
             if not self._keyed:
                 heapq.heappush(self.heap, (key[1] + cfg.size_us, *key))
             del self._log_cost[key]
             self.metrics.windows_promoted += 1
-        live = np.fromiter((k not in self.open for k in zip(conv, s.tolist())),
-                           dtype=bool, count=len(r))
+        r, s, conv = self._windows_of(log, wm0)
+        member = list(zip(conv, s.tolist()))
+        mine = np.fromiter((k in keys for k in member), bool, len(r))
+        live = np.fromiter((k not in self.open for k in member), bool,
+                           len(r))
         self.log = log.filter(np.bincount(r[live], minlength=log.num_rows) > 0)
+        return log.take(r[mine]), conv[mine], s[mine]
+
+    def _fold(self, t: pa.Table, conv: np.ndarray, starts: np.ndarray):
+        """Fold the log rows ``t``, one per membership of a promoted window
+        (``conv``, ``starts``) and each window's in arrival order, into
+        the windows' summaries, custom aggregates included."""
+        idx: dict = {}
+        win = np.fromiter((idx.setdefault(k, len(idx)) for k in
+                           zip(conv, starts.tolist())), np.int64, len(conv))
+        sums = [self.open[k] for k in idx]
+        self._stats.fold(sums, t, win)
+        if self.cfg.custom_aggs:
+            self._fold_custom(t, win, [sm.custom for sm in sums])
+
+    def _aggs(self) -> list:
+        """The ``custom_aggs`` aggregates."""
+        if not self.cfg.custom_aggs:
+            return []
+        from ..functions import registry
+        return [registry.get(n) for n in self.cfg.custom_aggs]
 
     def _emit(self, r: np.ndarray, w: np.ndarray,
               e: np.ndarray | None = None) -> list[dict]:
@@ -738,8 +511,13 @@ class StreamEngine:
         heads = np.flatnonzero(first)
         keys = list(zip(t["conv_id"].take(heads).to_pylist(),
                         w[heads].tolist()))
-        custom = (dict(zip(keys, self._fold_custom(t, heads)))
-                  if cfg.custom_aggs else None)
+        custom = None
+        if cfg.custom_aggs:
+            aggs = self._aggs()
+            states = [[agg.init() for agg in aggs] for _ in keys]
+            self._fold_custom(t, np.cumsum(first) - 1, states)
+            custom = {key: {agg.name: agg.emit(x) for agg, x in zip(aggs, st)}
+                      for key, st in zip(keys, states)}
         out = []
         for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
                                   _CHUNK_CHARS):
@@ -751,21 +529,15 @@ class StreamEngine:
             self._log_cost.pop(key, None)
         return out
 
-    def _fold_custom(self, t: pa.Table, heads: np.ndarray) -> list[dict]:
-        """``custom_aggs`` folded over each window of ``t`` (its rows from
-        ``heads`` on, grouped by window, in arrival order within one)."""
-        from ..functions import registry
-        aggs = [registry.get(n) for n in self.cfg.custom_aggs]
-        rows = [dict(zip(("ts", "turn_uid", "role", "text", "tool"), v))
-                for v in _row_values(t)]
-        out = []
-        for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(rows)]):
-            st = [agg.init() for agg in aggs]
-            for row in rows[a:b]:
-                for agg, x in zip(aggs, st):
-                    agg.add(x, row)
-            out.append({agg.name: agg.emit(x) for agg, x in zip(aggs, st)})
-        return out
+    def _fold_custom(self, t: pa.Table, win: np.ndarray,
+                     states: list) -> None:
+        """Fold ``custom_aggs`` over the rows of ``t`` in order: row i into
+        the aggregate states ``states[win[i]]``."""
+        aggs = self._aggs()
+        for w, v in zip(win.tolist(), _row_values(t)):
+            row = dict(zip(_ROW_KEYS, v))
+            for agg, x in zip(aggs, states[w]):
+                agg.add(x, row)
 
     def _finish(self, row: dict, bounds: dict | None = None) -> dict:
         """Count an emitted final-mode window; a keyed window's row gets
@@ -781,12 +553,20 @@ class StreamEngine:
             del row["window_start"], row["window_end"], row["last_ts"]
         return row
 
-    def _acc_row(self, key: tuple, acc: _WindowAcc, end: int = 0,
-                 bounds: dict | None = None) -> dict:
-        """A promoted window's row, from its accumulator."""
-        if acc.kg_spill is not None:
-            self.metrics.kgram_spills += 1
-        return self._finish(acc.finalize(*key, end, self.cfg), bounds)
+    def _summary_rows(self, keys: list, ends: list,
+                      bounds: dict | None = None) -> list[dict]:
+        """The rows of the promoted windows ``keys``, ending at ``ends``,
+        from their summaries, which leave ``open``."""
+        sums = [self.open.pop(k) for k in keys]
+        rows = _emitted_rows(self._stats.finish(
+            sums, [k[0] for k in keys], [k[1] for k in keys], ends))
+        aggs = self._aggs()
+        for row, sm in zip(rows, sums):
+            self.metrics.kgram_spills += sm.spilled()
+            if aggs:
+                row.update({agg.name: agg.emit(x)
+                            for agg, x in zip(aggs, sm.custom)})
+        return [self._finish(row, bounds) for row in rows]
 
     def _drain_log(self, out: list[dict], lo: int, hi: int) -> None:
         """Emit every tumbling/sliding log window with ``lo < window_end
@@ -949,7 +729,7 @@ class StreamEngine:
                      before: int) -> None:
         """Close the open sessions whose last ts is below ``before``, and
         emit the closed keyed windows ``closed`` ((conv_id, window id) ->
-        (start, end)), from the log or from promoted accumulators."""
+        (start, end)), from the log or from their summaries."""
         for conv in [c for c, st in self.open_sessions.items()
                      if st[2] < before]:
             o, first, last = self.open_sessions.pop(conv)
@@ -963,10 +743,9 @@ class StreamEngine:
             out += [self._finish(row, closed)
                     for row in self._emit(np.flatnonzero(due), wid[due])]
             self.log = self.log.filter(~due)
-        for key in sorted(closed):
-            acc = self.open.pop(key, None)
-            if acc is not None:
-                out.append(self._acc_row(key, acc, bounds=closed))
+        keys = [k for k in sorted(closed) if k in self.open]
+        if keys:
+            out += self._summary_rows(keys, [0] * len(keys), closed)
 
     def _sort(self, out: list[dict]) -> None:
         """Emission order: (end, conv_id, start)."""
@@ -976,11 +755,14 @@ class StreamEngine:
     def _drain(self, out: list[dict], hi: int) -> None:
         """Emit the promoted tumbling/sliding windows whose end is at or
         below ``hi``."""
+        keys, ends = [], []
         while self.heap and self.heap[0][0] <= hi:
             end, conv, s = heapq.heappop(self.heap)
-            acc = self.open.pop((conv, s), None)
-            if acc is not None:
-                out.append(self._acc_row((conv, s), acc, end))
+            if (conv, s) in self.open:
+                keys.append((conv, s))
+                ends.append(end)
+        if keys:
+            out += self._summary_rows(keys, ends)
 
     # -- end of stream ------------------------------------------------------
 
@@ -1020,13 +802,8 @@ class StreamEngine:
 
     @classmethod
     def restore(cls, blob: bytes) -> "StreamEngine":
-        d = pickle.loads(blob)
+        d = _Unpickler(io.BytesIO(blob)).load()
         eng = cls(d["cfg"], d["partition_id"])
-        if eng._updates and d["open"]:
-            raise ValueError(
-                "snapshot holds updates-mode windows as accumulators, from "
-                "before updates mode kept its rows in the row log; it "
-                "cannot resume: replay the input from its start")
         eng.watermark, eng.max_ts = d["watermark"], d["max_ts"]
         eng.open, eng.heap = d["open"], d["heap"]
         eng.seen_uids = d["seen_uids"]
@@ -1037,22 +814,26 @@ class StreamEngine:
         eng._since_fire = d.get("since_fire", {})
         eng.open_sessions = d.get("open_sessions", {})
         eng.count_rows = d.get("count_rows", {})
-        # sessions and count chunks of a snapshot from before they used
-        # the row log continue as promoted windows
-        for conv, (first, last, acc) in d.get("sessions", {}).items():
-            eng.open_sessions[conv] = [0, first, last]
-            eng.open[(conv, 0)] = acc
-        for conv, (k, acc, n) in d.get("count_bufs", {}).items():
-            start = k * eng.cfg.count_turns
-            eng.count_rows[conv] = start + n
-            if n:
-                eng.open[(conv, start)] = acc
         if d.get("log") is not None and d["log"].num_rows:
             eng.log = d["log"]
             if not eng._updates:
                 r, s, conv = eng._windows_of(eng.log, eng.watermark)
                 eng._add_costs(conv, s, (1 + _text_bytes(eng.log))[r])
         return eng
+
+
+class _Unpickler(pickle.Unpickler):
+    """Refuses a snapshot that holds per-row window accumulators: windows
+    of older engines, promoted or from before the row log, whose rows
+    are gone."""
+
+    def find_class(self, module, name):
+        if module == __name__ and name in ("_WindowAcc", "_BoundedKgrams"):
+            raise ValueError(
+                "snapshot holds windows as per-row accumulators, from before "
+                "promoted windows were kernel summaries; it cannot resume: "
+                "replay the input from its start")
+        return super().find_class(module, name)
 
 
 _TS_INT_COLS = frozenset({"window_start", "window_end", "last_ts",
@@ -1064,8 +845,8 @@ def emitted_to_frame(rows: list[dict], kind: str,
     """Columnar assembly of emitted rows (list-of-dicts -> DataFrame via
     per-column lists: pandas' nested-dict inference profiled at 22% of
     replay wall). Timestamp columns arrive as int64 epoch-us (the
-    engine's ``_emitted_rows`` and ``_WindowAcc.finalize`` both give
-    them so) and convert in one vectorized view here."""
+    engine's ``_emitted_rows`` gives them so, for log and promoted
+    windows alike) and convert in one vectorized view here."""
     if kind in _BOUNDS:
         base = ["conv_id", *_BOUNDS[kind], "n_turns"]
         cols = base + [c for c in STATS_COLUMNS

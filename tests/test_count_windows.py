@@ -7,8 +7,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from fasta_windows_ray import kernels as K
 from fasta_windows_ray.state.engine import (StreamEngine, WindowConfig,
-                                            _WindowAcc, emitted_to_frame)
+                                            emitted_to_frame)
 from fasta_windows_ray.state.runner import stateful_window_run
 from fasta_windows_ray.stages.window_stats import turn_window_counts
 from fasta_windows_ray.synth import make_transcripts
@@ -53,20 +54,37 @@ def test_full_stats_match_direct_chunks(ray_session):
     df = sorted_df(t)
     _, out = run_engine(cfg, df)
 
-    # direct recompute: _WindowAcc over each conv's sorted chunks
+    # direct recompute: the scalar oracles in ``kernels`` over each
+    # conv's sorted chunks (k-grams within each turn, CTW over the roles
+    # in (ts, turn) order)
     expect = []
     for conv, sub in df.groupby("conv_id", sort=True):
         sub = sub.reset_index(drop=True)
         for s in range(0, len(sub), w):
             chunk = sub.iloc[s:s + w]
-            acc = _WindowAcc()
-            for _, r in chunk.iterrows():
-                ts = int(pd.Timestamp(r["ts"]).value // 1000)
-                acc.add(ts, int(r["turn_idx"]), r["role"], r["text"],
-                        r["tool"], cfg)
-            row = acc.finalize(conv, 0, 0, cfg)
-            row["win_start"], row["win_end"] = s, s + len(chunk)
-            del row["window_start"], row["window_end"], row["last_ts"]
+            texts = chunk["text"].tolist()
+            n_chars = sum(map(len, texts))
+            row = {"conv_id": conv, "win_start": s,
+                   "win_end": s + len(chunk)}
+            row.update(K.role_stats(chunk["role"].value_counts().to_dict(),
+                                    int((chunk["tool"] != "").sum())))
+            row["n_chars"] = n_chars
+            row["char_entropy"] = K.text_char_entropy("".join(texts))
+            for k, name in ((2, "bigram_diversity"),
+                            (3, "trigram_diversity"),
+                            (4, "quadgram_diversity")):
+                counts: dict = {}
+                for text in texts:
+                    for g, c in K.kgram_counts(text, k,
+                                               skip_char=None).items():
+                        counts[g] = counts.get(g, 0) + c
+                row[name] = K.shannon_diversity(
+                    [counts[g] for g in sorted(counts)])
+            row["bigram_rate"] = K.specific_kgram_rate(texts, cfg.bigram,
+                                                       n_chars)
+            row["ctw_roles_bpb"] = K.ctw_roles(chunk["role"].tolist(),
+                                               cfg.ctw_depth)
+            row["ctw_text_bpb"] = 0.0
             expect.append(row)
     exp = emitted_to_frame(expect, "count")
     key = ["conv_id", "win_start"]

@@ -73,7 +73,7 @@ def test_queries_and_oracles_share_keys():
 
 def test_stages_import_no_engine_privates():
     """Batch stages use ``BucketWindowStats``; the stream engine's private
-    accumulators (``_WindowAcc`` and friends) stay the engine's own."""
+    helpers stay the engine's own."""
     problems = []
     for path in sorted((ROOT / PKG / "stages").rglob("*.py")):
         for line, mod, names in _imports(path):

@@ -264,81 +264,115 @@ def test_task_failure_retried_transparently(ray_session, tmp_path):
 
 
 def test_bounded_kgrams_exact_below_cap_roundtrip():
-    """Below the cap the accumulator keeps exact plain dicts
+    """Below the cap a window summary keeps exact k-gram counts
     (bit-identical entropy)."""
-    from fasta_windows_ray import kernels as K
-    from fasta_windows_ray.state.engine import _WindowAcc, WindowConfig
+    import pyarrow as pa
 
-    cfg = WindowConfig(kind="tumbling", size_us=10 * S, ctw_depth=-1,
-                       profile="full")
-    acc = _WindowAcc()
-    acc.add(0, 0, "user", "abcabcabd", "", cfg)
-    assert acc.kg_spill is None
+    from fasta_windows_ray import kernels as K
+    from fasta_windows_ray.stages.window_stats import (BucketWindowStats,
+                                                       WindowSummary)
+
+    inst = BucketWindowStats(ctw_depth=-1, profile="full")
+    sm = WindowSummary()
+    inst.fold([sm], pa.table({"ts": [0], "turn_uid": [0], "role": ["user"],
+                              "text": ["abcabcabd"], "tool": [""]}),
+              np.zeros(1, dtype=np.int64))
+    assert not sm.spilled()
     exp = {"AB": 3, "BC": 2, "CA": 2, "BD": 1}  # ASCII-folded
-    assert acc.kg[0] == exp
-    st = acc.finalize("c", 0, 10 * S, cfg)
+    hi, lo, cnt = sm.hist[1]
+    got = {chr(h) + chr(x): c for h, x, c in zip(hi.tolist(), lo.tolist(),
+                                                  cnt.tolist())}
+    assert got == exp
+    st = inst.finish([sm], ["c"], [0], [10 * S]).to_pylist()[0]
     assert st["bigram_diversity"] == K.entropy_from_counts(
         [exp[g] for g in sorted(exp)])
 
 
 def test_bounded_kgrams_spill_flat_memory():
-    """Past the cap the histogram spills to CMS + heavy hitters: memory
-    stays fixed, totals stay exact, entropy stays finite and close to
-    the true value for a heavy-hitter-dominated distribution."""
+    """Past the cap a histogram spills to its heaviest keys: memory stays
+    fixed, totals stay exact, entropy stays finite and close to the true
+    value for a heavy-hitter-dominated distribution."""
     import math
 
-    from fasta_windows_ray.state.engine import _BoundedKgrams
+    from fasta_windows_ray.stages.window_stats import (BucketWindowStats,
+                                                       WindowSummary,
+                                                       _merge_hist)
 
-    seed = {f"HH{i}": 1000 for i in range(8)}
-    seed.update({f"seed{i}": 1 for i in range(512)})
-    d = _BoundedKgrams(seed, cap=512, width=1 << 12)
-    for i in range(4000):
-        d.add(f"tail{i}")
-    assert d.cms.shape == (4, 1 << 12)   # fixed size regardless of keys
-    assert len(d.hh) <= 512 // 16
-    assert d.total == 8000 + 512 + 4000
-    h = d.entropy()
-    n = d.total
+    def add(sm, hi, lo, n):
+        _merge_hist([sm], 2, np.zeros(len(lo), dtype=np.int64),
+                    np.full(len(lo), hi), np.asarray(lo),
+                    np.asarray(n, dtype=np.int64), cap=512)
+
+    sm = WindowSummary()
+    sm.roles[0] = 1
+    add(sm, 1, np.arange(8), [1000] * 8)            # heavy hitters
+    add(sm, 2, np.arange(512), [1] * 512)           # seeds
+    for i in range(0, 4000, 100):                   # tails
+        add(sm, 3, np.arange(i, i + 100), [1] * 100)
+        assert len(sm.hist[1][2]) == 512 // 16      # fixed size
+    assert sm.spilled(2)
+    assert sm.totals[1] == 8000 + 512 + 4000
+    h = BucketWindowStats(ctw_depth=-1).finish(
+        [sm], ["c"], [0], [1]).to_pylist()[0]["bigram_diversity"]
+    n = sm.totals[1]
     p_hh, p_t = 1000 / n, 1 / n
     true = -(8 * p_hh * math.log2(p_hh) + 4512 * p_t * math.log2(p_t))
     assert 0 < h <= true + 1e-9          # tail-aggregated lower bound
 
 
 def test_huge_window_flat_acc_and_last_ts():
-    """A single window with >cap distinct quadgrams and no CTW keeps the
-    accumulator flat (no per-turn list, spilled kgrams) and still emits
-    exact counts/last_ts."""
-    import numpy as np
-    import pandas as pd
+    """A single window with >cap distinct quadgrams and no CTW spills its
+    quadgram histogram, and its state stays flat: after the spill, 4x
+    more rows of the same kind grow the engine's memory (tracemalloc plus
+    the Arrow pool) by less than a quarter of what it held at the spill.
+    Unbounded quadgrams, or a Python list per turn, would grow it several
+    times over. It still emits exact counts/last_ts."""
+    import tracemalloc
 
-    from fasta_windows_ray.state.engine import StreamEngine, WindowConfig
+    import pyarrow as pa
 
     rng = np.random.default_rng(7)
     n = 2500
     alpha = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789"))
-    texts = ["".join(rng.choice(alpha, 40)) for _ in range(n)]
-    rows = pd.DataFrame({
-        "conv_id": ["c"] * n,
-        "turn_uid": np.arange(n),
-        "role": ["user"] * n,
-        "text": texts,
-        "tool": [""] * n,
-        "ts": pd.to_datetime(EPOCH_US + np.arange(n) * 1000, unit="us"),
-    })
+
+    def rows(a, b):
+        return pd.DataFrame({
+            "conv_id": ["c"] * (b - a),
+            "turn_uid": np.arange(a, b),
+            "role": ["user"] * (b - a),
+            "text": ["".join(rng.choice(alpha, 40)) for _ in range(a, b)],
+            "tool": [""] * (b - a),
+            "ts": pd.to_datetime(EPOCH_US + np.arange(a, b) * 1000,
+                                 unit="us"),
+        })
+
+    first = rows(0, n)
+    more = [rows(i, i + n) for i in range(n, 5 * n, n)]
     cfg = WindowConfig(kind="tumbling", size_us=3600 * S, ctw_depth=-1,
                        profile="full")
-    eng = StreamEngine(cfg)
-    out = eng.process_rows(rows)
-    acc = next(iter(eng.open.values()))
-    assert acc.turns is None             # no per-turn sequence retained
-    assert acc.kg[2] is None             # quadgrams spilled to the sketch
-    assert acc.kg_spill is not None and 2 in acc.kg_spill
+
+    def held():
+        return tracemalloc.get_traced_memory()[0] + pa.total_allocated_bytes()
+
+    tracemalloc.start()
+    try:
+        base = held()
+        eng = StreamEngine(cfg)
+        out = eng.process_rows(first)
+        at_spill = held() - base
+        for batch in more:
+            out += eng.process_rows(batch)
+        grown = held() - base - at_spill
+    finally:
+        tracemalloc.stop()
+    assert eng.metrics.windows_promoted == 1
+    assert 0 < grown < at_spill / 4, (grown, at_spill)
     out += eng.flush()
     assert eng.metrics.kgram_spills == 1  # spill surfaced (round-2 ADVICE)
     assert len(out) == 1
-    assert out[0]["n_turns"] == n
-    assert out[0]["n_chars"] == 40 * n
-    assert out[0]["last_ts"] == EPOCH_US + (n - 1) * 1000
+    assert out[0]["n_turns"] == 5 * n
+    assert out[0]["n_chars"] == 40 * 5 * n
+    assert out[0]["last_ts"] == EPOCH_US + (5 * n - 1) * 1000
 
 
 def test_soak_long_run_flat_memory():

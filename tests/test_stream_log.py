@@ -1,9 +1,11 @@
 """Row-log stream engine gates: output independent of how the input is
 split into calls (every final-mode window kind, custom aggregates in
-arrival order), drains cut into whole-window kernel calls, the over-cap
-fallback to an accumulator, old snapshots, and partition routing."""
+arrival order), drains cut into whole-window kernel calls, over-cap
+windows promoted to kernel summaries that emit the kernel's row bit for
+bit, old snapshots, and partition routing."""
 
 import pickle
+import struct
 import zlib
 
 import numpy as np
@@ -15,12 +17,13 @@ from fasta_windows_ray.functions import registry
 from fasta_windows_ray.stages.sessions import assign_sessions
 from fasta_windows_ray.stages.window_stats import (_CHUNK_CHARS,
                                                    BucketWindowStats)
+from fasta_windows_ray.state import engine as engine_mod
 from fasta_windows_ray.state.engine import (_BOUNDS, KGRAM_CAP,
                                             StreamEngine, WindowConfig,
-                                            _emitted_rows, _WindowAcc,
-                                            emitted_to_frame)
+                                            _emitted_rows, emitted_to_frame)
 from fasta_windows_ray.state.runner import partition_of
-from fasta_windows_ray.windows import count_window_bounds
+from fasta_windows_ray.windows import (count_window_bounds,
+                                       sliding_starts_expand)
 
 S = 1_000_000
 EPOCH = 1_700_000_000 * S
@@ -131,17 +134,13 @@ AGGS = ("total_text_chars", "distinct_tools", "arrival_hash")
                  emit="updates", early_fire_every=2)],
     ids=["tumbling", "sliding", "session", "count", "custom_aggs",
          "updates_tumbling", "updates_sliding", "updates_early"])
-def test_output_independent_of_batch_split(cfg, arrival_hash, monkeypatch):
+def test_output_independent_of_batch_split(cfg, arrival_hash):
     """One call, one row per call and random splits with a snapshot and
     restore at one split emit the same rows on every column, with equal
     counters; the late/dup counters equal the plants (count windows take
-    late rows, updates mode the late rows of a live window), and no row
-    goes through an accumulator. Updates mode also emits its panes in the
-    same order."""
-    adds = []
-    real_add = _WindowAcc.add
-    monkeypatch.setattr(_WindowAcc, "add",
-                        lambda *a, **k: adds.append(1) or real_add(*a, **k))
+    late rows, updates mode the late rows of a live window), and no
+    window is promoted. Updates mode also emits its panes in the same
+    order."""
     df, late, dup = _ooo_stream()
     assert late.sum() > 0 and dup.sum() > 0
     updates = cfg.emit == "updates"
@@ -183,7 +182,6 @@ def test_output_independent_of_batch_split(cfg, arrival_hash, monkeypatch):
         assert (ref_m["early_panes"] > 0) == (cfg.early_fire_every > 0)
         for c in ("late_updates", "windows_expired"):
             assert (ref_m[c] > 0) == (cfg.retention_us > 0)
-    assert adds == []
     kept = df[~late & ~dup] if cfg.kind != "count" else df[~dup]
     if cfg.kind == "count":
         # chunks tile each conv's accepted rows in order
@@ -331,22 +329,21 @@ def test_over_cap_keyed_window_promoted(kind):
                                   rtol=1e-12, atol=1e-12)
 
 
-def _acc(rows: pd.DataFrame, cfg) -> _WindowAcc:
-    acc = _WindowAcc()
-    for r in rows.itertuples():
-        acc.add(r.ts.value // 1000, r.turn_uid, r.role, r.text, r.tool, cfg)
-    return acc
+class _WindowAcc:
+    """Stand-in for the per-row window accumulator that older snapshots
+    pickled (``fasta_windows_ray.state.engine._WindowAcc``)."""
+
+
+_WindowAcc.__module__ = engine_mod.__name__
 
 
 @pytest.mark.parametrize("kind", ["tumbling", "session", "count",
                                   "updates"])
-def test_restore_snapshot_without_row_log(kind):
+def test_restore_snapshot_without_row_log(kind, monkeypatch):
     """A snapshot from before the row log (open windows, sessions and
     count chunks as accumulators; no ``log``, no session or count
-    positions, no ``windows_promoted`` counter) restores; its
-    accumulators keep taking rows, and the resumed output equals a fresh
-    run's. An updates-mode one, whose windows' rows are only in its
-    accumulators, is refused."""
+    positions, no ``windows_promoted`` counter) is refused: its windows'
+    rows are only in its accumulators."""
     ts = EPOCH + np.array([0, 1, 2, 3, 4, 5, 6, 40, 41, 42]) * S
     rows = pd.DataFrame({
         "conv_id": ["a"] * 10, "turn_uid": np.arange(10),
@@ -363,55 +360,164 @@ def test_restore_snapshot_without_row_log(kind):
     k = 6 if kind == "count" else 3
     old = {"open": {}, "heap": [], "sessions": {}, "count_bufs": {}}
     if kind in ("tumbling", "updates"):
-        old["open"] = {("a", start): _acc(rows.iloc[:3], cfg)}
+        old["open"] = {("a", start): _WindowAcc()}
         old["heap"] = [(start + 10 * S, "a", start)]
     elif kind == "session":        # an open session of 3 rows
-        old["sessions"] = {"a": [ts[0], ts[2], _acc(rows.iloc[:3], cfg)]}
+        old["sessions"] = {"a": [ts[0], ts[2], _WindowAcc()]}
     else:                          # chunk 1 holds 2 of its 4 rows
-        old["count_bufs"] = {"a": [1, _acc(rows.iloc[4:6], cfg), 2]}
+        old["count_bufs"] = {"a": [1, _WindowAcc(), 2]}
     eng = StreamEngine(cfg)
-    out = eng.process_rows(rows.iloc[:k])
+    eng.process_rows(rows.iloc[:k])
     d = pickle.loads(eng.snapshot())
     for key in ("log", "open_sessions", "count_rows"):
         del d[key]
     del d["metrics"].__dict__["windows_promoted"]
     d.update(old)
-    if kind == "updates":
-        with pytest.raises(ValueError, match="accumulators"):
-            StreamEngine.restore(pickle.dumps(d))
-        return
-    resumed = StreamEngine.restore(pickle.dumps(d))
-    assert resumed.metrics.as_dict()["windows_promoted"] == 0
-    out += resumed.process_rows(rows.iloc[k:]) + resumed.flush()
-    fresh = StreamEngine(cfg)
-    want = fresh.process_rows(rows) + fresh.flush()
-    assert resumed.metrics.as_dict() == fresh.metrics.as_dict()
-    assert len(want) == {"tumbling": 2, "session": 2, "count": 3}[kind]
-    pd.testing.assert_frame_equal(emitted_to_frame(out, kind),
-                                  emitted_to_frame(want, kind),
-                                  rtol=1e-12, atol=1e-12)
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "_WindowAcc", _WindowAcc, raising=False)
+        blob = pickle.dumps(d)
+    with pytest.raises(ValueError, match="accumulators"):
+        StreamEngine.restore(blob)
 
 
-@pytest.mark.parametrize("ctw_depth", [-1, 6])
-def test_accumulator_pickled_with_ts_counts(ctw_depth):
-    """An accumulator pickled in the layout of older snapshots (a
-    ``_ts_counts`` ts -> count map and an ``_nt`` turn count, no
-    ``last_ts``) unpickles with its max ts as ``last_ts`` and emits the
-    same row."""
-    cfg = WindowConfig(kind="tumbling", size_us=10 * S, ctw_depth=ctw_depth)
-    acc = _WindowAcc()
-    for i, t in enumerate((5, 9, 2)):
-        acc.add(EPOCH + t * S, i, "user", f"hi {i}", "", cfg)
-    old = dict(acc.__getstate__()[1])
-    del old["last_ts"]
-    old["_nt"] = 3
-    if acc.turns is None:
-        old["_ts_counts"] = {EPOCH + t * S: 1 for t in (5, 9, 2)}
-    back = pickle.loads(pickle.dumps(acc))
-    back.__setstate__((None, old))
-    assert back.last_ts == EPOCH + 9 * S
-    assert back.finalize("c", EPOCH, EPOCH + 10 * S, cfg) == \
-        acc.finalize("c", EPOCH, EPOCH + 10 * S, cfg)
+def _hot_stream(seed: int, n: int = 2400) -> pd.DataFrame:
+    """In-order rows, no late or duplicate ones: about 80% of them in
+    one conv (``hot``) with 10-30 words of text each, enough for its
+    windows to pass ``KGRAM_CAP``; multibyte text, null roles and texts,
+    the designated bigram and tools included."""
+    rng = np.random.default_rng(seed)
+    words = np.array(["ab", "cd", "é", "xyz", '"k', " ", "q", "東京",
+                      'k"k', "Zz"])
+    hot = rng.random(n) < 0.8
+    return pd.DataFrame({
+        "conv_id": np.where(hot, "hot", rng.choice(["c0", "c1", "c2"], n)),
+        "turn_uid": np.arange(n),
+        "role": rng.choice(np.array([None, "user", "assistant", "system",
+                                     "tool", "x"], dtype=object), n),
+        "text": [None if rng.random() < 0.03 else
+                 "".join(rng.choice(words, int(rng.integers(10, 30))))
+                 for _ in range(n)],
+        "tool": np.where(rng.random(n) < 0.2, "grep", ""),
+        "ts": (EPOCH + np.arange(n) * 50_000).astype("datetime64[us]")})
+
+
+def _kernel_rows(cfg, df: pd.DataFrame) -> dict:
+    """``BucketWindowStats.table``'s row of every window of ``cfg`` on
+    ``df`` (all of it accepted), as the engine emits it, with the
+    window's rows + UTF-8 text bytes (its promotion cost); by (conv_id,
+    window start or id)."""
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    ts = t["ts"].cast(pa.int64()).to_numpy()
+    if cfg.kind in ("tumbling", "sliding"):
+        r, ws = sliding_starts_expand(ts, cfg.size_us,
+                                      cfg.step_us or cfg.size_us, 0)
+        t = t.take(r).append_column("window_start", pa.array(ws)) \
+            .append_column("window_end", pa.array(ws + cfg.size_us))
+    elif cfg.kind == "session":
+        t = assign_sessions(t, cfg.gap_us)
+    else:
+        t = t.sort_by([("conv_id", "ascending"), ("ts", "ascending")])
+        start, end = count_window_bounds(
+            t["conv_id"].combine_chunks().dictionary_encode().indices
+            .to_numpy(), cfg.count_turns)
+        t = t.append_column("window_start", pa.array(start)) \
+            .append_column("window_end", pa.array(end))
+    inst = BucketWindowStats(profile=cfg.profile, ctw_depth=cfg.ctw_depth,
+                             bigram=cfg.bigram, ctw_text=cfg.ctw_text)
+    rows = _emitted_rows(inst.table(t))
+    keys = list(zip(t["conv_id"].to_pylist(),
+                    t["window_start"].cast(pa.int64()).to_pylist()))
+    costs: dict = {}
+    for key, text in zip(keys, t["text"].to_pylist()):
+        costs[key] = costs.get(key, 0) + 1 + len((text or "").encode())
+    if cfg.custom_aggs:
+        aggs = [registry.get(n) for n in cfg.custom_aggs]
+        states: dict = {}
+        order = np.argsort(t["turn_uid"].to_numpy(), kind="stable")
+        for key, v in zip([keys[i] for i in order],
+                          engine_mod._row_values(t.take(order))):
+            st = states.setdefault(key, [agg.init() for agg in aggs])
+            for agg, x in zip(aggs, st):
+                agg.add(x, dict(zip(engine_mod._ROW_KEYS, v)))
+    out = {}
+    for row in rows:
+        key = (row["conv_id"], row["window_start"])
+        if cfg.custom_aggs:
+            row.update({agg.name: agg.emit(x)
+                        for agg, x in zip(aggs, states[key])})
+        if cfg.kind in _BOUNDS:
+            s, e = _BOUNDS[cfg.kind]
+            row[s], row[e] = row.pop("window_start"), row.pop("window_end")
+            del row["last_ts"]
+        out[key] = (row, costs[key])
+    return out
+
+
+def _bits(v):
+    """A value with floats by their bits."""
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("cfg", [
+    *[WindowConfig(kind=kind, profile=profile, **params)
+      for kind, params in (
+          ("tumbling", {"size_us": 3600 * S}),
+          ("sliding", {"size_us": 3600 * S, "step_us": 1800 * S}),
+          ("session", {"gap_us": 3600 * S}),
+          ("count", {"count_turns": 1700}))
+      for profile in ("full", "fast", "counts")],
+    WindowConfig(kind="sliding", size_us=3600 * S, step_us=1800 * S,
+                 ctw_text=True),
+    WindowConfig(kind="tumbling", size_us=3600 * S, custom_aggs=AGGS)],
+    ids=[f"{k}-{p}" for k in ("tumbling", "sliding", "session", "count")
+         for p in ("full", "fast", "counts")] + ["ctw_text", "custom_aggs"])
+def test_promoted_window_equals_kernel(cfg, arrival_hash):
+    """A window pushed past ``KGRAM_CAP`` at a random call, fed in random
+    splits with one snapshot and restore, emits exactly the row
+    ``BucketWindowStats.table`` gives on its rows: integers equal, floats
+    equal by their bits, custom aggregates folded in arrival order. Every
+    window past the cap is promoted, and counted, once."""
+    df = _hot_stream(5)
+    want = _kernel_rows(cfg, df)
+    over = {k for k, (_, cost) in want.items() if cost > KGRAM_CAP}
+    assert over and len(over) < len(want)
+    rng = np.random.default_rng(11)
+    for trial in range(2):
+        cuts = sorted(rng.choice(np.arange(1, len(df)), 6, replace=False)
+                      .tolist())
+        out, m = _feed(cfg, df, cuts, snap_at=cuts[int(rng.integers(6))])
+        assert m["windows_promoted"] == len(over)
+        assert m["kgram_spills"] == 0
+        s = _START.get(cfg.kind, "window_start")
+        got = {(row["conv_id"], row[s]): row for row in out}
+        assert len(got) == len(out) == len(want)
+        for key, (row, _) in want.items():
+            assert list(got[key]) == list(row), key
+            assert [_bits(v) for v in got[key].values()] == \
+                [_bits(v) for v in row.values()], (key, key in over)
+
+
+def test_bigram_rate_counts_overlaps_in_promoted_windows():
+    """``bigram="aa"`` counts every occurrence, overlapping ones included,
+    in a promoted window as in a log window; a bigram that is not two
+    characters is refused."""
+    n = 1700
+    df = pd.DataFrame({
+        "conv_id": ["hot"] * n + ["cold"] * 10,
+        "turn_uid": np.arange(n + 10),
+        "role": "user", "text": "a" * 40, "tool": "",
+        "ts": (EPOCH + np.r_[np.arange(n), np.arange(10)] * 1000)
+        .astype("datetime64[us]")}).sort_values("ts", kind="stable")
+    cfg = WindowConfig(kind="tumbling", size_us=3600 * S, bigram="aa")
+    out, m = _feed(cfg, df, [n // 2])
+    assert m["windows_promoted"] == 1
+    assert {row["conv_id"]: row["bigram_rate"] for row in out} == \
+        {"hot": 39 / 40, "cold": 39 / 40}
+    for bad in ("a", '"k!', ""):
+        with pytest.raises(ValueError, match="two characters"):
+            BucketWindowStats(bigram=bad)
+        with pytest.raises(ValueError, match="two characters"):
+            StreamEngine(WindowConfig(bigram=bad))
 
 
 def test_partition_of_equals_per_row_crc32():
