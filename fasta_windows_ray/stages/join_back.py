@@ -20,7 +20,7 @@ from __future__ import annotations
 import pandas as pd
 import ray
 
-from .window_stats import add_bucket, tumbling_start
+from .window_stats import _int64_us, add_bucket, tumbling_start
 
 # stats side above this goes through the co-partitioned hash join instead
 # of a driver-held broadcast table: at 100 TB of turns a year of window
@@ -66,8 +66,9 @@ def join_back_broadcast(turns_ds, stats_pdf: pd.DataFrame, size_us: int,
             self.stats = ray.get(ref)
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            ws = tumbling_start(batch["ts"].astype("int64").to_numpy(),
-                                size_us, offset_us)
+            ws = tumbling_start(
+                batch["ts"].dt.as_unit("us").astype("int64").to_numpy(),
+                size_us, offset_us)
             batch = batch.copy()
             batch["window_start"] = pd.Series(ws).astype("datetime64[us]").values
             return batch.merge(self.stats, on=["conv_id", "window_start"],
@@ -85,8 +86,7 @@ def join_back_bucketed(turns_ds, stats_ds, size_us: int,
     import pyarrow as pa
 
     def _assign(t: pa.Table) -> pa.Table:
-        ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
-        ws = tumbling_start(ts, size_us, offset_us)
+        ws = tumbling_start(_int64_us(t["ts"]), size_us, offset_us)
         return t.append_column("window_start",
                                pa.array(ws).cast(pa.timestamp("us")))
 

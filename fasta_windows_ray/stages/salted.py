@@ -49,8 +49,7 @@ def salted_window_counts(ds, size_us: int, offset_us: int = 0,
         # the batch itself — a hot conversation spread over B batches
         # yields B partial rows, each computed in parallel
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
-        ws = tumbling_start(ts, size_us, offset_us)
+        ws = tumbling_start(_int64_us(t["ts"]), size_us, offset_us)
         role = (t["role"].to_numpy(zero_copy_only=False)
                 if "role" in t.column_names else np.full(len(t), "user"))
         tool = (t["tool"].to_numpy(zero_copy_only=False)

@@ -109,8 +109,7 @@ def assign_tumbling(ds, size_us: int, offset_us: int = 0):
     ``step_us`` is unset (equality-tested against the in-task path).
     """
     def _assign(t: pa.Table) -> pa.Table:
-        ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
-        ws = tumbling_start(ts, size_us, offset_us)
+        ws = tumbling_start(_int64_us(t["ts"]), size_us, offset_us)
         return t.append_column("window_start",
                                pa.array(ws, pa.int64()).cast(pa.timestamp("us")))
     return ds.map_batches(_assign, batch_format="pyarrow", zero_copy_batch=True)
@@ -150,13 +149,12 @@ def add_bucket_slab(ds, num_buckets: int, size_us: int,
         b = stable_bucket_of(t["conv_id"].to_numpy(zero_copy_only=False),
                              num_buckets)
         if step_us is None and "window_start" in t.column_names:
-            ws = t["window_start"].combine_chunks() \
-                .cast(pa.int64()).to_numpy()
+            ws = _int64_us(t["window_start"])
             slab_hi = (ws - offset_us) // L
             dup = np.zeros(n, dtype=bool)
             slab_lo = slab_hi
         else:
-            ts = t["ts"].combine_chunks().cast(pa.int64()).to_numpy()
+            ts = _int64_us(t["ts"])
             if step == size_us:           # tumbling
                 ws = tumbling_start(ts, size_us, offset_us)
                 slab_hi = (ws - offset_us) // L
@@ -197,7 +195,7 @@ def add_bucket_slab(ds, num_buckets: int, size_us: int,
 # more than one call per group, while 1M gives 952-965 MB and no faster
 # job.
 _CHUNK_CHARS = 1 << 18
-_SENTINELS = 3          # zero classes after each turn: 4-grams stay inside
+_SENTINELS = 3          # zero classes past a turn's end in a 4-gram key
 _I32_MAX = np.iinfo(np.int32).max
 # distinct keys a ``WindowSummary`` k-gram histogram holds exactly; past
 # it the histogram spills (``_merge_hist``). The stream engine promotes a
@@ -363,34 +361,32 @@ def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
         yield k, st, n
 
 
-def _char_classes(cp: np.ndarray, lens_raw: np.ndarray):
+def _char_classes(cp: np.ndarray):
     """The characters of every turn as classes: dense ranks 1..n of their
-    ASCII-folded code points, in code-point order, with ``_SENTINELS``
-    zero classes after each turn. Returns (classes ``ext``, each turn's
-    offset in ``ext``, each character's position in ``ext``, bits of a
-    class, the folded code point of each class c at c - 1)."""
-    n_raw = len(lens_raw)
+    ASCII-folded code points, in code-point order. Returns (the class of
+    each character, bits of a class, the folded code point of each class
+    c at c - 1)."""
     up = _ascii_upper(cp)
     present = np.bincount(up, minlength=1) > 0
     rank = np.cumsum(present)
-    ext_start = np.concatenate(([0], np.cumsum(lens_raw + _SENTINELS)))
-    ext = np.zeros(int(ext_start[-1]), dtype=np.int64)
-    epos = np.arange(len(cp), dtype=np.int64) + np.repeat(
-        np.arange(n_raw, dtype=np.int64) * _SENTINELS, lens_raw)
-    ext[epos] = rank[up]
-    return ext, ext_start, epos, _bits(rank[-1]), np.flatnonzero(present)
+    return rank[up], _bits(rank[-1]), np.flatnonzero(present)
 
 
-def _distinct_keys(ext: np.ndarray, pos: np.ndarray, grp, cbits: int,
+def _distinct_keys(cls: np.ndarray, lens_raw: np.ndarray, grp, cbits: int,
                    kmax: int, q: np.ndarray | None = None):
-    """The distinct (group, c0 .. c_kmax-1[, q]) keys of the characters at
-    ``pos`` of ``ext`` (``grp`` their groups), sorted, with their counts:
-    (hi = (group, c0), lo = (c1 .. c_kmax-1), q, count)."""
-    lo = np.zeros(len(ext), dtype=np.int64)
+    """The distinct (group, c0 .. c_kmax-1[, q]) keys of the characters of
+    classes ``cls`` (``grp`` their groups), sorted, with their counts:
+    (hi = (group, c0), lo = (c1 .. c_kmax-1), q, count). c_j is the class
+    j characters on in the same turn, or 0 past the turn's end, as if
+    ``_SENTINELS`` zero classes followed each turn."""
+    lo = np.zeros(len(cls), dtype=np.int64)
     for j in range(1, kmax):
-        lo[:-j] |= ext[j:] << (cbits * (kmax - 1 - j))
-    hi, lo, q = _sort_pairs((grp << cbits) | ext[pos], lo[pos],
-                            cbits * (kmax - 1), q)
+        lo[:-j] |= cls[j:] << (cbits * (kmax - 1 - j))
+    # the last r characters of a turn keep only c1 .. c_r-1
+    ends = np.cumsum(lens_raw)
+    for r in range(1, kmax):
+        lo[ends[lens_raw >= r] - r] &= ~((1 << (cbits * (kmax - r))) - 1)
+    hi, lo, q = _sort_pairs((grp << cbits) | cls, lo, cbits * (kmax - 1), q)
     new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
     if q is not None:
         new[1:] |= q[1:] != q[:-1]
@@ -560,11 +556,11 @@ def _kgram_keys(cp: np.ndarray, lens: np.ndarray, win: np.ndarray,
                 kmax: int):
     """Yield (k, window, hi, lo, count) for k = 1 .. kmax: every distinct
     k-gram inside the turns of each window, sorted by (window, k-gram),
-    from one sort of the expanded path's keys (turn i lies in window
+    from one sort of the per-window path's keys (turn i lies in window
     ``win[i]``). Keys are ``WindowSummary``'s: the same k-gram has the
     same key in every call, and keys sort as ``table``'s classes do."""
-    ext, _, epos, cbits, cls = _char_classes(cp, lens)
-    hi, lo, _, cnt = _distinct_keys(ext, epos, np.repeat(win, lens), cbits,
+    ccls, cbits, cls = _char_classes(cp)
+    hi, lo, _, cnt = _distinct_keys(ccls, lens, np.repeat(win, lens), cbits,
                                     kmax)
     cmask = (1 << cbits) - 1
     for k, st, n in _window_kgrams(hi, lo, cnt, cbits, kmax):
@@ -621,15 +617,10 @@ class BucketWindowStats:
                  bigram: str = '"k', window_size_us: int | None = None,
                  step_us: int | None = None, offset_us: int = 0,
                  ctw_text: bool = False, slab_l_us: int | None = None,
-                 kgram_freqs: bool = False,
-                 slot_compress: bool | None = None):
-        # slot_compress: None = auto (chars-per-slot crossover gate),
-        # True/False force the sliding char-stats path (tests force both
-        # and assert bit-equality)
+                 kgram_freqs: bool = False):
         if len(bigram) != 2:
             raise ValueError(f"bigram={bigram!r}: the designated bigram "
                              "has exactly two characters")
-        self.slot_compress = slot_compress
         self.profile = profile
         self.ctw_text = ctw_text
         self.ctw_depth = ctw_depth
@@ -680,7 +671,7 @@ class BucketWindowStats:
 
         # ---- raw-row arrays: everything text-related is computed ONCE
         # per raw turn; the sliding c-fold fan-out replicates only small
-        # int arrays and char indices ----
+        # int arrays ----
         n_raw = t.num_rows
         ts_raw = _int64_us(t["ts"])
         conv = conv.dictionary_encode()
@@ -692,10 +683,11 @@ class BucketWindowStats:
         size = self.window_size_us or 0
         step = self.step_us
         explicit = step is None and "window_start" in names
+        sliding = step is not None and step != size
         if explicit:
             rows = np.arange(n_raw)
             ws_e = _int64_us(t["window_start"])
-        elif step is None or step == size:
+        elif not sliding:
             rows = np.arange(n_raw)
             ws_e = tumbling_start(ts_raw, size, self.offset_us)
         else:
@@ -708,15 +700,20 @@ class BucketWindowStats:
         cg_slab = None
         if self.slab_l_us and "_slab" in names:
             slab_raw = t["_slab"].to_numpy().astype(np.int64)
+            keep = (ws_e - self.offset_us) // self.slab_l_us \
+                == slab_raw[rows]
+            if not (sliding or keep.all()):
+                # the memberships of a tumbling or explicit call are its
+                # raw rows (``_text_stats`` reads their characters in
+                # place), so rows outside their slab leave the table
+                return self.table(t.filter(pa.array(keep)))
+            rows, ws_e = rows[keep], ws_e[keep]
+            if len(rows) == 0:
+                return empty
             n_conv = np.int64(len(conv.dictionary))
             cg_raw, cg_key = pd.factorize(slab_raw * n_conv + conv_raw)
             cg_raw = cg_raw.astype(np.int64)
             cg_conv, cg_slab = cg_key % n_conv, cg_key // n_conv
-            keep = (ws_e - self.offset_us) // self.slab_l_us \
-                == slab_raw[rows]
-            rows, ws_e = rows[keep], ws_e[keep]
-            if len(rows) == 0:
-                return empty
         else:
             cg_raw, cg_conv = conv_raw, np.arange(len(conv.dictionary))
         ts_e = ts_raw[rows]
@@ -763,7 +760,7 @@ class BucketWindowStats:
             return self._frame(out, empty.schema)
 
         cp, lens_raw = _text_codes(t["text"])
-        self._text_stats(out, cp, lens_raw, rows, codes, G, ts_raw,
+        self._text_stats(out, cp, lens_raw, codes, G, ts_raw,
                          cg_raw, cg_slab, ws_uniq, ukey, K1)
         if self.profile == "fast":
             for name in _TEXT_STATS[1:] + ("bigram_rate",):
@@ -777,7 +774,7 @@ class BucketWindowStats:
         self._finish_ctw(out, G, t, rows, ts_e, codes, role5_e)
         return self._frame(out, empty.schema)
 
-    def _text_stats(self, out, cp, lens_raw, rows, codes, G, ts_raw,
+    def _text_stats(self, out, cp, lens_raw, codes, G, ts_raw,
                     cg_raw, cg_slab, ws_uniq, ukey, K1):
         """n_chars, char entropy (k = 1) and k = 2, 3, 4 diversity from ONE
         sort of (group, c0, c1, c2, c3) keys.
@@ -786,65 +783,44 @@ class BucketWindowStats:
         dense ranks 1..n of the folded code points in code-point order,
         so sorted keys list every k-gram in the order the kernels' sorted
         iteration adds entropy terms, for ASCII and multibyte text alike.
-        ``_SENTINELS`` zero classes follow each turn: a k-gram lies inside
-        its turn exactly when its last class is not 0, and the k-gram
-        counts are the runs of equal (group, c0..c_k-1) prefixes of the
-        sorted keys. A key is the pair hi = (group, c0), lo = (c1, c2,
-        c3), which holds any alphabet; ``_sort_pairs`` packs it into one
-        int64 when it fits. The group is the window membership
-        (``_window_kgrams``); with slot compression there is no group,
-        each character carries its step slot instead, and ``_slot_kgrams``
-        rolls the per-slot counts up to k = 3, 2, 1 and spreads them into
-        per-window counts.
-        """
-        nb = len(cp)
-        ext, ext_start, epos, cbits, _ = _char_classes(cp, lens_raw)
-        kmax = _KMAX[self.profile]
+        Classes past a turn's end are 0 (``_distinct_keys``): a k-gram
+        lies inside its turn exactly when its last class is not 0, and
+        the k-gram counts are the runs of equal (group, c0..c_k-1)
+        prefixes of the sorted keys. A key is the pair hi = (group, c0),
+        lo = (c1, c2, c3), which holds any alphabet; ``_sort_pairs`` packs
+        it into one int64 when it fits.
 
+        A tumbling or explicit call has one membership per raw row, so
+        the group of each character is its row's window (``codes``) and
+        ``_window_kgrams`` sums the runs. A sliding call has c = size /
+        step memberships per row: each character is sorted once, with its
+        (cg, step slot) ``q`` and no group, and ``_slot_kgrams`` rolls the
+        per-slot counts up to k = 3, 2, 1 and spreads them into the
+        covering windows.
+        """
+        ccls, cbits, _ = _char_classes(cp)
+        kmax = _KMAX[self.profile]
         size, step = self.window_size_us or 0, self.step_us
-        sliding = bool(step is not None and step != size and size)
-        if sliding and self.slot_compress is None:
-            # adaptive gate: slot compression wins when slots hold many
-            # chars per (cg, slot). Every perfbench transcripts_sliding
-            # call has 520-6600 chars per slot. On a synthetic sparse
-            # input (24 h / 6 h windows, L chars per (cg, slot) in turns of
-            # up to 64 chars, 300k-char calls, one CPU) the expanded path
-            # takes 0.97x the slot path's time at L = 4, 1.07-1.11x at
-            # 8-16, 1.16-1.29x at 64, 1.28-1.32x at 256 and 1.55-1.82x at
-            # 512, so the crossover is below 8 and 256 is high. That input
-            # is not in the repo, and the gate stays until a workload on
-            # the sparse side checks it.
-            s_probe = (ts_raw - self.offset_us) // step
-            n_slots = len(pd.unique(
-                cg_raw * (np.int64(s_probe.max()) - s_probe.min() + 1)
-                + (s_probe - s_probe.min())))
-            sliding = nb / max(n_slots, 1) >= 256
-        elif sliding:
-            sliding = self.slot_compress
+        sliding = step is not None and step != size
 
         q = None
         if not sliding:
-            # one membership per (row, window): gather each membership's
-            # characters
-            le = lens_raw[rows]
-
             def kgrams_in(k):
-                return np.bincount(codes, weights=np.maximum(le - k + 1, 0),
-                                   minlength=G)
-            pos = np.repeat(ext_start[rows] - np.cumsum(le) + le, le) \
-                + np.arange(int(le.sum()), dtype=np.int64)
-            grp = np.repeat(codes, le)
+                return np.bincount(
+                    codes, weights=np.maximum(lens_raw - k + 1, 0),
+                    minlength=G)
+            grp = np.repeat(codes, lens_raw)
         else:
-            # ---- SLOT PRE-COMPRESSION (round-3 VERDICT #7): for sliding
-            # windows (c = size/step covers) each raw character is sorted
-            # ONCE, by its k-grams and then its (cg, step-slot) ``q``; a
-            # window's count of a k-gram is the sum of the k-gram's counts
-            # in the c slots that cover the window (``_slot_kgrams``). ----
+            # ---- SLOT PRE-COMPRESSION (round-3 VERDICT #7): a window's
+            # count of a k-gram is the sum of the k-gram's counts in the c
+            # slots that cover the window (``_slot_kgrams``) ----
             c = size // step
             # ``_slot_kgrams`` runs in int32 when each position of its axes,
-            # at most c per character or row, fits; a group over
+            # at most c per character or row, fits (bounded by c times the
+            # characters plus ``_SENTINELS`` per row); a group over
             # _CHUNK_CHARS runs alone and can need int64
-            dt = np.int32 if c * len(ext) <= _I32_MAX else np.int64
+            n_pos = len(cp) + _SENTINELS * len(lens_raw)
+            dt = np.int32 if c * n_pos <= _I32_MAX else np.int64
             s_raw = (ts_raw - self.offset_us) // step
             smin = np.int64(s_raw.min())
             SL = np.int64(s_raw.max()) - smin + 1
@@ -871,19 +847,19 @@ class BucketWindowStats:
                     minlength=len(sq_uniq))
                 return np.bincount(wc[in_call], weights=np.repeat(
                     per_slot, c)[in_call], minlength=G)
-            pos, grp = epos, 0
+            grp = 0
             q = np.repeat(sq_codes, lens_raw)
         # k-grams inside the turns of each window: n_chars at k = 1, and the
         # denominator of each k's entropy
         out["n_chars"] = kgrams_in(1).astype(np.int64)
-        if len(pos) == 0:
+        if len(cp) == 0:
             for name in _TEXT_STATS[:kmax]:
                 out[name] = np.zeros(G, dtype=np.float64)
             return
 
         # distinct (group, c0..c3[, slot]) keys with their counts; every
         # k below works on these
-        hi, lo, q, ecnt = _distinct_keys(ext, pos, grp, cbits, kmax, q)
+        hi, lo, q, ecnt = _distinct_keys(ccls, lens_raw, grp, cbits, kmax, q)
         if sliding:
             pairs = _slot_kgrams(hi, lo, q.astype(dt), ecnt.astype(dt),
                                  cbits, kmax,

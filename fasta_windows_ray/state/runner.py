@@ -196,20 +196,19 @@ class StreamingJob:
         """
         part = partition_of(table["conv_id"].to_numpy(), self.P)
         n = len(table)
-        consumed = [0] * self.P
         batches_fed = 0
         for lo in range(0, n, batch_rows):
             hi = min(lo + batch_rows, n)
-            chunk = table.iloc[lo:hi]
-            cpart = part[lo:hi]
             futs = []
             for p in range(self.P):
-                sub = chunk[cpart == p]
-                consumed[p] += hi - lo
-                # resume skip: this partition already consumed the prefix
-                if consumed[p] <= self.start_offsets[p]:
+                # resume skip: this partition already consumed the rows
+                # before its offset, which may fall inside this batch
+                # when the batch size changed
+                a = max(lo, self.start_offsets[p])
+                if a >= hi:
                     continue
-                futs.append(self.actors[p].process.remote(sub, hi - lo))
+                sub = table.iloc[a:hi][part[a:hi] == p]
+                futs.append(self.actors[p].process.remote(sub, hi - a))
             ray.get(futs)
             batches_fed += 1
             if crash_after_batches is not None and \

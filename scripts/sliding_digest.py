@@ -9,13 +9,16 @@ For each seed it builds the input of perfbench's ``transcripts_sliding``
 own stages in process, without Ray: ``add_bucket_slab``, then
 ``stats_by_group`` with ``BucketWindowStats``, on a stand-in for the two
 ``Dataset`` methods they call. It does so three times: sliding 24 h / 6 h
-with slot compression forced on (``slot``) and off (``expanded``), and
-tumbling 24 h (``tumbling``). Rows are sorted by (conv_id, window_start);
-each column is hashed as its null positions plus its values (floats by
-their bits). One line per column: seed, run, column, md5. Running it on
-two checkouts and diffing the two outputs checks that they compute
-bit-identical stats; within one checkout, ``slot`` and ``expanded`` must
-agree.
+as the job runs it (``slot``: each row fans out to its windows inside
+the stats call, on the slot path), the same sliding memberships fed as
+explicit ``window_start``/``window_end`` rows (``explicit``: one row per
+(turn, window), the stream engine's input shape, on the per-window
+path), and tumbling 24 h (``tumbling``). Rows are sorted by (conv_id,
+window_start); each column is hashed as its null positions plus its
+values (floats by their bits). One line per column: seed, run, column,
+md5. Running it on two checkouts and diffing the two outputs checks that
+they compute bit-identical stats; within one checkout, ``slot`` and
+``explicit`` must agree.
 """
 
 import hashlib
@@ -34,13 +37,14 @@ import gen  # noqa: E402
 from fasta_windows_ray.stages.window_stats import (  # noqa: E402
     BucketWindowStats, add_bucket_slab, stats_by_group)
 from fasta_windows_ray.transcripts import project_events_batch  # noqa: E402
+from fasta_windows_ray.windows import sliding_starts_expand  # noqa: E402
 
 SIZE_US = 24 * gen.HOUR_US
 STEP_US = 6 * gen.HOUR_US
 NUM_BUCKETS = 64
 SLAB_WINDOWS = 4096
-RUNS = (("slot", STEP_US, True), ("expanded", STEP_US, False),
-        ("tumbling", SIZE_US, None))
+RUNS = (("slot", STEP_US, False), ("explicit", None, True),
+        ("tumbling", SIZE_US, False))
 
 
 class Local:
@@ -63,13 +67,26 @@ def transcripts(seed: int) -> pa.Table:
     return project_events_batch(g["table"])
 
 
-def stats(t: pa.Table, step_us: int, slot_compress) -> pa.Table:
-    """The ``window_stats`` job's output on ``t``, computed in process."""
+def memberships(t: pa.Table) -> pa.Table:
+    """One row of ``t`` per sliding 24 h / 6 h window it lies in, with
+    that window's ``window_start`` and ``window_end``."""
+    ts = t["ts"].cast(pa.int64()).to_numpy()
+    rows, ws = sliding_starts_expand(ts, SIZE_US, STEP_US)
+    return t.take(pa.array(rows)) \
+        .append_column("window_start", pa.array(ws).cast(pa.timestamp("us"))) \
+        .append_column("window_end",
+                       pa.array(ws + SIZE_US).cast(pa.timestamp("us")))
+
+
+def stats(t: pa.Table, step_us: int | None, explicit: bool) -> pa.Table:
+    """The ``window_stats`` job's output on ``t``, computed in process;
+    with ``explicit``, on ``t``'s sliding memberships instead."""
+    if explicit:
+        t = memberships(t)
     ds, slab_l = add_bucket_slab(Local(t), NUM_BUCKETS, SIZE_US, step_us,
                                  0, SLAB_WINDOWS)
     inst = BucketWindowStats(profile="full", window_size_us=SIZE_US,
-                             step_us=step_us, slab_l_us=slab_l,
-                             slot_compress=slot_compress)
+                             step_us=step_us, slab_l_us=slab_l)
     return stats_by_group(ds, "_gk", inst).t
 
 
@@ -87,9 +104,9 @@ def column_md5(col: pa.ChunkedArray) -> str:
 def digest(seed: int) -> list[str]:
     t = transcripts(seed)
     lines = []
-    for tag, step, slot in RUNS:
-        out = stats(t, step, slot).sort_by([("conv_id", "ascending"),
-                                            ("window_start", "ascending")])
+    for tag, step, explicit in RUNS:
+        out = stats(t, step, explicit).sort_by(
+            [("conv_id", "ascending"), ("window_start", "ascending")])
         lines.append(f"seed{seed}\t{tag}\trows\t{out.num_rows}")
         lines += [f"seed{seed}\t{tag}\t{name}\t{column_md5(out[name])}"
                   for name in out.column_names]

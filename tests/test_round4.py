@@ -428,14 +428,16 @@ def test_dedup_clusters_quality_keeper_policy(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# Slot pre-compression (sliding char stats) — bit-equality of both paths
+# Slot pre-compression (sliding char stats) — bit-equality with explicit windows
 # ---------------------------------------------------------------------------
 
-def test_slot_compression_bit_equal_to_expanded(ray_session):
+def test_slot_path_bit_equal_to_explicit_windows(ray_session):
     """The slot-compressed sliding char-stats path must be bit-identical
-    to the expanded-membership path on every stat column (both forced
-    explicitly; the production default picks by the chars/slot gate)."""
+    to the per-window path on every stat column: the same sliding
+    memberships, fed as explicit window_start/window_end rows, are the
+    reference."""
     from fasta_windows_ray.stages.window_stats import BucketWindowStats
+    from fasta_windows_ray.windows import sliding_starts_expand
     rng = np.random.default_rng(8)
     n = 4000
     convs = [f"c{i % 37}" for i in range(n)]
@@ -447,9 +449,13 @@ def test_slot_compression_bit_equal_to_expanded(ray_session):
                        "role": roles, "text": texts,
                        "tool": [None] * n, "ts": ts})
     SIZE, STEP = 4 * 3600 * 1_000_000, 1 * 3600 * 1_000_000
-    kw = dict(profile="full", window_size_us=SIZE, step_us=STEP, ctw_depth=2)
-    a = BucketWindowStats(slot_compress=True, **kw)(df)
-    b = BucketWindowStats(slot_compress=False, **kw)(df)
+    kw = dict(profile="full", window_size_us=SIZE, ctw_depth=2)
+    a = BucketWindowStats(step_us=STEP, **kw)(df)
+    rows, ws = sliding_starts_expand(ts.astype(np.int64), SIZE, STEP)
+    members = df.iloc[rows].reset_index(drop=True).assign(
+        window_start=ws.astype("datetime64[us]"),
+        window_end=(ws + SIZE).astype("datetime64[us]"))
+    b = BucketWindowStats(**kw)(members)
     key = ["conv_id", "window_start"]
     a = a.sort_values(key).reset_index(drop=True)
     b = b.sort_values(key).reset_index(drop=True)

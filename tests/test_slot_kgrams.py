@@ -163,7 +163,7 @@ def test_int64_dtype_gives_same_stats(monkeypatch):
         "ts": (np.sort(rng.integers(0, 200, n)) * S).astype("datetime64[us]"),
     })
     inst = W.BucketWindowStats(profile="full", window_size_us=20 * S,
-                               step_us=5 * S, slot_compress=True)
+                               step_us=5 * S)
     seen = []
     real = W._spread
     monkeypatch.setattr(W, "_spread", lambda *a: seen.append(a[2].dtype)

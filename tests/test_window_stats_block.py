@@ -22,6 +22,7 @@ from fasta_windows_ray.sinks import (read_partitioned, write_partition_block,
                                      write_partitioned)
 from fasta_windows_ray.state.engine import (StreamEngine, WindowConfig,
                                             emitted_to_frame)
+from fasta_windows_ray.windows import sliding_starts_expand
 
 S = 1_000_000
 EPOCH = 1_700_000_000 * S
@@ -81,14 +82,30 @@ class _Capture:
         return self
 
 
+def _memberships(t: pa.Table, size, step) -> pa.Table:
+    """``t``'s sliding memberships as explicit windows: one row per (turn,
+    window) with the window's ``window_start`` and ``window_end``, the
+    stream engine's input shape."""
+    rows, ws = sliding_starts_expand(W._int64_us(t["ts"]), size, step)
+    return t.take(pa.array(rows)) \
+        .append_column("window_start", pa.array(ws).cast(pa.timestamp("us"))) \
+        .append_column("window_end",
+                       pa.array(ws + size).cast(pa.timestamp("us")))
+
+
 def _per_group(t: pa.Table, size, step, slab_windows, num_buckets=4,
-               **kw) -> pd.DataFrame:
-    """Reference: one BucketWindowStats call per (bucket × slab) group."""
+               explicit=False, **kw) -> pd.DataFrame:
+    """Reference: one BucketWindowStats call per (bucket × slab) group;
+    with ``explicit``, on ``t``'s sliding memberships fed as explicit
+    windows (the per-window path)."""
+    if explicit:
+        t, step = _memberships(t, size, step), None
     cap, L = W.add_bucket_slab(_Capture(), num_buckets, size, step, 0,
                                slab_windows)
     slabbed = cap.fn(t)
-    inst = W.BucketWindowStats(window_size_us=size, step_us=step or size,
-                               slab_l_us=L, **kw)
+    inst = W.BucketWindowStats(
+        window_size_us=size,
+        step_us=None if explicit else (step or size), slab_l_us=L, **kw)
     gk = slabbed["_gk"].to_numpy()
     parts = [inst.table(slabbed.filter(pa.array(gk == g)))
              for g in np.unique(gk)]
@@ -121,23 +138,87 @@ def test_block_stats_equal_per_group(ray_session, kind, profile, extra):
     _assert_bits_equal(got, ref)
 
 
-@pytest.mark.parametrize("slot_compress", [True, False])
-def test_multi_group_call_equals_per_group(slot_compress):
-    """One call over many slab groups (duplicated rows included), on
-    either sliding char-stats path, equals a call per group on the
-    expanded path. Conversations have turns in adjacent step slots, so
-    windows sum the counts of several slots."""
-    t = _turns(seed=9, n=800)
+def _sparse_turns(seed: int, chars: int, step: int, n_convs: int = 40,
+                  n_slots: int = 60) -> pa.Table:
+    """One turn of ``chars`` characters per (conversation, step slot) it
+    speaks in, about one slot in three, plus empty and null turns, and a
+    conversation ``gappy`` whose slots lie more than ten apart."""
+    rng = np.random.default_rng(seed)
+    conv, slot = [], []
+    for c in range(n_convs):
+        s = np.flatnonzero(rng.random(n_slots) < 0.3)
+        conv += [f"s{c}"] * len(s)
+        slot += s.tolist()
+    conv += ["gappy"] * 5
+    slot += [0, 1, 13, 30, 59]
+    n = len(conv)
+    letters = np.array(list("abAB\"kδ東"))
+    texts = ["".join(rng.choice(letters, chars)) for _ in range(n)]
+    for i in rng.choice(n, n // 10, replace=False):
+        texts[i] = None if i % 2 else ""
+    return pa.table({
+        "conv_id": pa.array(conv),
+        "turn_uid": pa.array(rng.permutation(n), pa.int64()),
+        "role": pa.array(rng.choice(["user", "assistant", "tool"], n)),
+        "text": pa.array(texts, pa.string()),
+        "tool": pa.array(rng.choice(["", "grep"], n)),
+        "ts": pa.array(EPOCH + np.asarray(slot) * step
+                       + rng.integers(0, step, n)).cast(pa.timestamp("us")),
+    })
+
+
+@pytest.mark.parametrize("path", ["slot", "explicit"])
+def test_multi_group_call_equals_per_group(monkeypatch, path):
+    """One call over many slab groups (duplicated rows included) equals a
+    call per group, and the sliding memberships fed as explicit windows
+    are the reference for both paths. Dense conversations have turns in
+    adjacent step slots, so windows sum the counts of several slots; the
+    sparse ones have one or two characters per (conversation, slot),
+    empty turns, gaps longer than a window, and slab edges every four
+    slots (``slab_windows=2`` is below c = 4, so a slab is c slots)."""
     size, step = 40 * S, 10 * S
-    cap, L = W.add_bucket_slab(_Capture(), 3, size, step, 0, 3)
+    cases = [(_turns(seed=9, n=800), 3)] + [
+        (_sparse_turns(seed, chars, step), 2)
+        for seed, chars in ((31, 1), (32, 2))]
+    ran = []
+    real = W._slot_kgrams
+    monkeypatch.setattr(W, "_slot_kgrams", lambda *a: ran.append(1)
+                        or real(*a))
+    for t, slab_windows in cases:
+        for profile in ("full", "fast"):
+            ref = _per_group(t, size, step, slab_windows, num_buckets=3,
+                             explicit=True, profile=profile)
+            ran.clear()
+            src, src_step = ((t, step) if path == "slot"
+                             else (_memberships(t, size, step), None))
+            cap, L = W.add_bucket_slab(_Capture(), 3, size, src_step, 0,
+                                       slab_windows)
+            slabbed = cap.fn(src)
+            slabbed = slabbed.take(pa.array(np.argsort(
+                slabbed["_gk"].to_numpy(), kind="stable")))
+            inst = W.BucketWindowStats(window_size_us=size,
+                                       step_us=src_step, slab_l_us=L,
+                                       profile=profile)
+            whole = inst.table(slabbed).to_pandas()
+            assert bool(ran) == (path == "slot")
+            _assert_bits_equal(whole, ref)
+
+
+def test_out_of_slab_explicit_rows_leave_the_table():
+    """An explicit row whose window lies outside its ``_slab`` gives the
+    table of the call without it."""
+    t = _memberships(_turns(seed=4, n=200), 40 * S, 10 * S)
+    cap, L = W.add_bucket_slab(_Capture(), 3, 40 * S, None, 0, 2)
     slabbed = cap.fn(t)
-    slabbed = slabbed.take(pa.array(np.argsort(
-        slabbed["_gk"].to_numpy(), kind="stable")))
-    inst = W.BucketWindowStats(window_size_us=size, step_us=step,
-                               slab_l_us=L, slot_compress=slot_compress)
-    whole = inst.table(slabbed).to_pandas()
-    ref = _per_group(t, size, step, 3, num_buckets=3, slot_compress=False)
-    _assert_bits_equal(whole, ref)
+    slab = slabbed["_slab"].to_numpy().copy()
+    moved = np.arange(len(slab)) % 7 == 0
+    slab[moved] += 1
+    bad = slabbed.set_column(slabbed.column_names.index("_slab"), "_slab",
+                             pa.array(slab))
+    inst = W.BucketWindowStats(window_size_us=40 * S, slab_l_us=L)
+    _assert_bits_equal(inst.table(bad).to_pandas(),
+                       inst.table(slabbed.filter(pa.array(~moved)))
+                       .to_pandas())
 
 
 def _cjk_turns(n: int = 800, n_classes: int = 9000) -> pd.DataFrame:
@@ -161,26 +242,36 @@ def _fold(s: str) -> str:
     return "".join(chr(ord(ch) - 32) if "a" <= ch <= "z" else ch for ch in s)
 
 
+def _stats(df: pd.DataFrame, path, **kw) -> pd.DataFrame:
+    """``BucketWindowStats(**kw)`` of ``df``; with ``path="explicit"``,
+    of ``df``'s sliding memberships fed as explicit windows."""
+    if path != "explicit":
+        return W.BucketWindowStats(**kw)(df)
+    size, step = kw["window_size_us"], kw.pop("step_us")
+    t = _memberships(pa.Table.from_pandas(df, preserve_index=False),
+                     size, step)
+    return W.BucketWindowStats(**kw).table(t).to_pandas()
+
+
 _TEXT_COLS = ["n_chars", "char_entropy", "bigram_diversity",
               "trigram_diversity", "quadgram_diversity", "bigram_rate"]
 
 
-@pytest.mark.parametrize("kind,slot_compress", [
-    ("tumbling", None), ("sliding", True), ("sliding", False)])
-def test_wide_keys_match_engine_and_kernels(monkeypatch, kind,
-                                            slot_compress):
+@pytest.mark.parametrize("kind,path", [
+    ("tumbling", None), ("sliding", "slot"), ("sliding", "explicit")])
+def test_wide_keys_match_engine_and_kernels(monkeypatch, kind, path):
     """Keys past 63 bits (about 9000 classes × hundreds of windows) take
     the argsort branch and still match the stream engine and the scalar
-    kernels."""
+    kernels, on the sliding call and on its memberships fed as explicit
+    windows."""
     df = _cjk_turns()
     size, step = (10 * S, None) if kind == "tumbling" else (20 * S, 10 * S)
     calls = []
     real = W._argsort_pairs
     monkeypatch.setattr(W, "_argsort_pairs", lambda *a: calls.append(
         len(a[0])) or real(*a))
-    got = _canon(W.BucketWindowStats(
-        profile="full", ctw_depth=-1, window_size_us=size,
-        step_us=step or size, slot_compress=slot_compress)(df))
+    got = _canon(_stats(df, path, profile="full", ctw_depth=-1,
+                        window_size_us=size, step_us=step or size))
     assert calls, "the wide-key branch did not run"
 
     cfg = WindowConfig(kind=kind, size_us=size, step_us=step, ctw_depth=-1)
@@ -216,8 +307,8 @@ def test_wide_keys_match_engine_and_kernels(monkeypatch, kind,
                 [kg[g] for g in sorted(kg)])) < 1e-12
 
 
-@pytest.mark.parametrize("slot_compress", [True, False])
-def test_wide_keys_repeated_kgrams_shuffled_rows(monkeypatch, slot_compress):
+@pytest.mark.parametrize("path", ["slot", "explicit"])
+def test_wide_keys_repeated_kgrams_shuffled_rows(monkeypatch, path):
     """Wide keys with k-grams that repeat across turns, slots and
     conversations, and rows in no time order: the argsort branch must
     order equal k-grams by slot as the packed sort does, and the result
@@ -240,10 +331,9 @@ def test_wide_keys_repeated_kgrams_shuffled_rows(monkeypatch, slot_compress):
     real = W._argsort_pairs
     monkeypatch.setattr(W, "_argsort_pairs", lambda *a: calls.append(
         len(a[0])) or real(*a))
-    got = _canon(W.BucketWindowStats(
-        profile="full", ctw_depth=-1, window_size_us=size, step_us=step,
-        slot_compress=slot_compress)(
-            df.iloc[rng.permutation(n)].reset_index(drop=True)))
+    got = _canon(_stats(df.iloc[rng.permutation(n)].reset_index(drop=True),
+                        path, profile="full", ctw_depth=-1,
+                        window_size_us=size, step_us=step))
     assert calls, "the wide-key branch did not run"
 
     cfg = WindowConfig(kind="sliding", size_us=size, step_us=step,
