@@ -17,8 +17,10 @@ and one ``BucketWindowStats`` call takes as many consecutive groups as
 fit a character budget. Window assignment (including the sliding
 fan-out) and all stats run there, vectorized over every window of the
 call; the text histograms of k = 1..4 come from one sort, and CTW
-(order-dependent, kmeru8.rs:170-319) takes one ``ctw_batch`` call over
-the call's distinct window symbol strings.
+(order-dependent, kmeru8.rs:170-319) takes one ``ctw_batch`` call per
+CTW column over the symbols of every window of the call, back to back
+in one array. The stream engine's promoted windows keep the same k-gram
+keys in a ``WindowSummary`` and finish through the same code.
 
 Every batch window kind runs through ``stats_by_group``: session and
 count windows (``stages/sessions.py``, ``turn_window_counts``) and the
@@ -198,10 +200,10 @@ _CHUNK_CHARS = 1 << 18
 _SENTINELS = 3          # zero classes past a turn's end in a 4-gram key
 _I32_MAX = np.iinfo(np.int32).max
 # distinct keys a ``WindowSummary`` k-gram histogram holds exactly; past
-# it the histogram spills (``_merge_hist``). The stream engine promotes a
+# it the histogram spills (``_cut_hist``). The stream engine promotes a
 # window to a summary once its buffered rows plus text bytes pass it
 KGRAM_CAP = 65_536
-_CP_BITS = 21           # bits of a code point in a summary's k-gram key
+_CP_BITS = 21           # bits of a class (code point + 1) in a summary key
 _KMAX = {"counts": 0, "fast": 1, "full": 4}     # longest k-gram per profile
 
 
@@ -343,10 +345,10 @@ def _slot_kgrams(hi: np.ndarray, lo: np.ndarray, q: np.ndarray,
 
 def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
                    cbits: int, kmax: int):
-    """Yield (k, first, count) for k = 1 .. kmax from the distinct
+    """Yield (k, window, count) for k = 1 .. kmax from the distinct
     (window, k-gram key) rows, ``hi`` = (window, c0): the counts of k are
-    the sums over runs of equal (window, c0 .. c_k-1), and ``first`` is
-    each run's first row, for the runs of k-grams inside a turn."""
+    the sums over runs of equal (window, c0 .. c_k-1), for the runs of
+    k-grams inside a turn, in key order."""
     cmask = (1 << cbits) - 1
     new = np.r_[True, hi[1:] != hi[:-1]]
     for k in range(1, kmax + 1):
@@ -358,18 +360,16 @@ def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
         if k > 1:
             inside = (lo_k[st] & cmask) != 0
             st, n = st[inside], n[inside]
-        yield k, st, n
+        yield k, hi[st] >> cbits, n
 
 
 def _char_classes(cp: np.ndarray):
     """The characters of every turn as classes: dense ranks 1..n of their
     ASCII-folded code points, in code-point order. Returns (the class of
-    each character, bits of a class, the folded code point of each class
-    c at c - 1)."""
+    each character, bits of a class)."""
     up = _ascii_upper(cp)
-    present = np.bincount(up, minlength=1) > 0
-    rank = np.cumsum(present)
-    return rank[up], _bits(rank[-1]), np.flatnonzero(present)
+    rank = np.cumsum(np.bincount(up, minlength=1) > 0)
+    return rank[up], _bits(rank[-1])
 
 
 def _distinct_keys(cls: np.ndarray, lens_raw: np.ndarray, grp, cbits: int,
@@ -395,16 +395,23 @@ def _distinct_keys(cls: np.ndarray, lens_raw: np.ndarray, grp, cbits: int,
             np.diff(starts, append=len(hi)))
 
 
-def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
-    """(code points, characters per row) of a string column, nulls empty.
-    Pure-ASCII text keeps its UTF-8 bytes as uint8; other text is decoded
-    to UTF-32, so array offsets count characters either way."""
+def _utf8(col) -> tuple[pa.Array, np.ndarray, np.ndarray]:
+    """(the column as one large_string array, nulls empty; its UTF-8
+    bytes; the byte offset of each row and of the end, from 0)."""
     arr = _strings(col, "").cast(pa.large_string())
     off = np.frombuffer(arr.buffers()[1], dtype=np.int64)[
         arr.offset: arr.offset + len(arr) + 1]
     buf = arr.buffers()[2]
     data = (np.frombuffer(buf, dtype=np.uint8)[off[0]: off[-1]]
             if buf is not None else np.zeros(0, np.uint8))
+    return arr, data, off - off[0]
+
+
+def _text_codes(col) -> tuple[np.ndarray, np.ndarray]:
+    """(code points, characters per row) of a string column, nulls empty.
+    Pure-ASCII text keeps its UTF-8 bytes as uint8; other text is decoded
+    to UTF-32, so array offsets count characters either way."""
+    arr, data, off = _utf8(col)
     if not len(data) or data.max() < 128:
         return data, np.diff(off)
     cp = np.frombuffer(data.tobytes().decode().encode("utf-32-le"),
@@ -459,18 +466,6 @@ def _segment_entropy(codes: np.ndarray, weights: np.ndarray, n_groups: int,
     return 0.0 - np.bincount(codes, weights=terms, minlength=n_groups)
 
 
-def _ctw_distinct(keys: list, depth: int) -> np.ndarray:
-    """CTW bits/symbol of each symbol string in ``keys`` (bytes of 0..3,
-    255 = flush); each distinct string is computed once, all in one
-    ``ctw_batch`` call."""
-    from .. import kernels as K
-
-    codes, uniq = pd.factorize(pd.Series(keys, dtype=object))
-    offsets = np.cumsum([0] + [len(k) for k in uniq])
-    return K.ctw_batch(np.frombuffer(b"".join(uniq), dtype=np.uint8),
-                       offsets, depth)[codes]
-
-
 def _role_codes(t: pa.Table) -> np.ndarray:
     """Each row's role as its index in ``ROLE_ORDER`` (unknown roles 4;
     engine-wide null convention: role null -> "user")."""
@@ -523,17 +518,19 @@ class WindowSummary:
     on the same rows (``BucketWindowStats.finish``).
 
     It holds the role counts (in ``ROLE_ORDER``), the masked and
-    designated-bigram counts and the last ts; for k = 1..4, ``hist[k - 1]``
-    = (hi, lo, count): the window's distinct k-grams in ascending order
-    with their counts, a k-gram keyed by its ASCII-folded code points
-    (``hi`` the first, ``lo`` the others, ``_CP_BITS`` bits each), and
-    ``totals[k - 1]``, its k-grams in all. ``seq`` keeps the (ts,
-    turn_uid, role code[, text]) rows in arrival order, only when CTW
-    needs them; ``custom`` holds the caller's aggregate states.
+    designated-bigram counts and the last ts; ``hist`` = (hi = c0, lo =
+    c1 .. c_kmax-1, count): the window's distinct ``_distinct_keys`` keys
+    in ascending order with their counts, a character's class being its
+    ASCII-folded code point + 1 (0 past a turn's end), so a k-gram has
+    one key in every call; ``totals[k - 1]``, its k-grams in all; and
+    ``spilled``, whether ``hist`` was ever cut (``_cut_hist``). ``seq``
+    keeps the (ts, turn_uid, role code[, text]) rows in arrival order,
+    only when CTW needs them; ``custom`` holds the caller's aggregate
+    states.
     """
 
     __slots__ = ("roles", "masked", "bigrams", "last_ts", "hist", "totals",
-                 "seq", "custom")
+                 "spilled", "seq", "custom")
 
     def __init__(self):
         self.roles = np.zeros(5, dtype=np.int64)
@@ -541,65 +538,60 @@ class WindowSummary:
         self.bigrams = 0
         self.last_ts = int(np.iinfo(np.int64).min)
         empty = np.zeros(0, dtype=np.int64)
-        self.hist = [(empty, empty, empty)] * 4
+        self.hist = (empty, empty, empty)
         self.totals = np.zeros(4, dtype=np.int64)
+        self.spilled = False
         self.seq: pa.Table | None = None
         self.custom: list | None = None
 
-    def spilled(self, k: int | None = None) -> bool:
-        """Whether the histogram of k (of any k) dropped keys."""
-        return any(self.totals[j] > self.hist[j][2].sum()
-                   for j in ([k - 1] if k else range(4)))
+
+def _sum_keys(hi: np.ndarray, lo: np.ndarray, n: np.ndarray):
+    """The distinct (hi, lo) keys, sorted, with their counts ``n``
+    summed."""
+    order = np.lexsort((lo, hi))
+    hi, lo, n = hi[order], lo[order], n[order]
+    st = np.flatnonzero(np.r_[True, (hi[1:] != hi[:-1])
+                              | (lo[1:] != lo[:-1])])
+    return hi[st], lo[st], np.add.reduceat(n, st)
 
 
-def _kgram_keys(cp: np.ndarray, lens: np.ndarray, win: np.ndarray,
-                kmax: int):
-    """Yield (k, window, hi, lo, count) for k = 1 .. kmax: every distinct
-    k-gram inside the turns of each window, sorted by (window, k-gram),
-    from one sort of the per-window path's keys (turn i lies in window
-    ``win[i]``). Keys are ``WindowSummary``'s: the same k-gram has the
-    same key in every call, and keys sort as ``table``'s classes do."""
-    ccls, cbits, cls = _char_classes(cp)
-    hi, lo, _, cnt = _distinct_keys(ccls, lens, np.repeat(win, lens), cbits,
-                                    kmax)
-    cmask = (1 << cbits) - 1
-    for k, st, n in _window_kgrams(hi, lo, cnt, cbits, kmax):
-        h, rest = hi[st], lo[st] >> (cbits * (kmax - k))
-        key_lo = np.zeros(len(st), dtype=np.int64)
-        for j in range(1, k):
-            c = (rest >> (cbits * (k - 1 - j))) & cmask
-            key_lo |= cls[c - 1] << (_CP_BITS * (k - 1 - j))
-        yield k, h >> cbits, cls[(h & cmask) - 1], key_lo, n
-
-
-def _merge_hist(sums: list, k: int, w: np.ndarray, hi: np.ndarray,
-                lo: np.ndarray, n: np.ndarray, cap: int = KGRAM_CAP) -> None:
-    """Add the counts ``n`` of the k-grams (``hi``, ``lo``) to the
-    histograms of k of ``sums[w]``: one grouped sum over their keys and
-    the new ones. A histogram past ``cap`` distinct keys spills: from then
-    on it keeps only its ``cap // 16`` heaviest keys, and its total."""
-    j = k - 1
-    old = [s.hist[j] for s in sums]
-    W = len(sums)
-    ww = np.r_[np.repeat(np.arange(W), [len(o[2]) for o in old]), w]
-    hh, ll, nn = (np.concatenate([o[i] for o in old] + [x])
-                  for i, x in enumerate((hi, lo, n)))
-    if not len(ww):
-        return
-    order = np.lexsort((ll, hh, ww))
-    ww, hh, ll, nn = ww[order], hh[order], ll[order], nn[order]
-    st = np.flatnonzero(np.r_[True, (ww[1:] != ww[:-1]) | (hh[1:] != hh[:-1])
-                              | (ll[1:] != ll[:-1])])
-    ww, hh, ll, nn = ww[st], hh[st], ll[st], np.add.reduceat(nn, st)
-    cut = np.searchsorted(ww, np.arange(W + 1))
-    added = np.bincount(w, weights=n, minlength=W).astype(np.int64)
+def _merge_hist(sums: list, hi: np.ndarray, lo: np.ndarray,
+                n: np.ndarray) -> None:
+    """Add the counts ``n`` of the keys (``hi`` = (window, c0), ``lo``)
+    to the histograms of ``sums`` (window i is ``sums[i]``): one grouped
+    sum over their keys and the new ones. A histogram past ``KGRAM_CAP``
+    keys is cut (``_cut_hist``)."""
+    old = [s.hist for s in sums]
+    hh, ll, nn = _sum_keys(
+        np.concatenate([hi] + [(i << _CP_BITS) | o[0]
+                               for i, o in enumerate(old)]),
+        np.concatenate([lo] + [o[1] for o in old]),
+        np.concatenate([n] + [o[2] for o in old]))
+    cut = np.searchsorted(hh >> _CP_BITS, np.arange(len(sums) + 1))
+    hh &= (1 << _CP_BITS) - 1
     for i, s in enumerate(sums):
-        keep = np.arange(cut[i], cut[i + 1])
-        if len(keep) > cap or s.spilled(k):
-            keep = keep[np.sort(np.argsort(-nn[keep], kind="stable")
-                                [:cap // 16])]
-        s.hist[j] = (hh[keep], ll[keep], nn[keep])
-        s.totals[j] += added[i]
+        h, l, c = (x[cut[i]:cut[i + 1]].copy() for x in (hh, ll, nn))
+        if len(c) > KGRAM_CAP:
+            h, l, c = _cut_hist(h, l, c)
+            s.spilled = True
+        s.hist = (h, l, c)
+
+
+def _cut_hist(hi: np.ndarray, lo: np.ndarray, n: np.ndarray):
+    """A histogram of at most ``KGRAM_CAP`` keys from a larger one: its
+    ``KGRAM_CAP // 16`` heaviest keys stay whole, and the others are cut
+    to their first k_max - 1 characters, then fewer, until the keys fit
+    (none, if even one character does not fit). A cut key reads as a
+    shorter k-gram that ends its turn, so the k-grams up to the cut keep
+    exact counts; ``finish`` takes the others of each k as one symbol."""
+    whole = np.zeros(len(n), dtype=bool)
+    whole[np.argsort(-n, kind="stable")[:KGRAM_CAP // 16]] = True
+    for bits in range(_CP_BITS, 64, _CP_BITS):
+        cut = np.where(whole, lo, lo >> bits << bits)
+        out = _sum_keys(hi, cut, n)
+        if len(out[2]) <= KGRAM_CAP:
+            return out
+    return hi[whole], lo[whole], n[whole]
 
 
 class BucketWindowStats:
@@ -665,9 +657,8 @@ class BucketWindowStats:
                 else pa.array([], pa.string()))
         if pa.types.is_dictionary(conv.type):
             conv = conv.cast(conv.type.value_type)
-        empty = self._schema(conv.type).empty_table()
         if t.num_rows == 0:
-            return empty
+            return self._schema(conv.type).empty_table()
 
         # ---- raw-row arrays: everything text-related is computed ONCE
         # per raw turn; the sliding c-fold fan-out replicates only small
@@ -709,7 +700,7 @@ class BucketWindowStats:
                 return self.table(t.filter(pa.array(keep)))
             rows, ws_e = rows[keep], ws_e[keep]
             if len(rows) == 0:
-                return empty
+                return self._schema(conv.type).empty_table()
             n_conv = np.int64(len(conv.dictionary))
             cg_raw, cg_key = pd.factorize(slab_raw * n_conv + conv_raw)
             cg_raw = cg_raw.astype(np.int64)
@@ -751,33 +742,23 @@ class BucketWindowStats:
                              minlength=G)
         out.update(role_stats(role_counts, masked))
 
-        zeros = np.zeros(G, dtype=np.float64)
         if self.profile == "counts" or "text" not in names:
-            for col in _TEXT_STATS + ("bigram_rate", "ctw_roles_bpb",
-                                      "ctw_text_bpb"):
-                out[col] = zeros
-            out["n_chars"] = np.zeros(G, dtype=np.int64)
-            return self._frame(out, empty.schema)
-
+            return self._finish(out, G)
         cp, lens_raw = _text_codes(t["text"])
-        self._text_stats(out, cp, lens_raw, codes, G, ts_raw,
-                         cg_raw, cg_slab, ws_uniq, ukey, K1)
-        if self.profile == "fast":
-            for name in _TEXT_STATS[1:] + ("bigram_rate",):
-                out[name] = zeros
-        else:
-            denom = out["n_chars"].astype(np.float64)
-            denom[denom == 0] = 1.0
-            out["bigram_rate"] = np.bincount(
-                codes, weights=self._bigram_counts(cp, lens_raw)[rows],
-                minlength=G) / denom
-        self._finish_ctw(out, G, t, rows, ts_e, codes, role5_e)
-        return self._frame(out, empty.schema)
+        n_kgrams, kgrams = self._text_kgrams(
+            cp, lens_raw, codes, G, ts_raw, cg_raw, cg_slab, ws_uniq, ukey, K1)
+        bigrams = (np.bincount(codes, weights=self._bigram_counts(
+            cp, lens_raw)[rows], minlength=G)
+            if self.profile == "full" else None)
+        return self._finish(out, G, n_kgrams, kgrams, bigrams,
+                            (t, rows, ts_e, codes, role5_e)
+                            if self._need_seq() else None)
 
-    def _text_stats(self, out, cp, lens_raw, codes, G, ts_raw,
-                    cg_raw, cg_slab, ws_uniq, ukey, K1):
-        """n_chars, char entropy (k = 1) and k = 2, 3, 4 diversity from ONE
-        sort of (group, c0, c1, c2, c3) keys.
+    def _text_kgrams(self, cp, lens_raw, codes, G, ts_raw,
+                     cg_raw, cg_slab, ws_uniq, ukey, K1):
+        """``_finish``'s ``n_kgrams`` and ``kgrams`` for the call's windows:
+        the k-grams of k = 1..k_max from ONE sort of (group, c0, c1, c2,
+        c3) keys.
 
         Case folding is ASCII-only (length-preserving); classes c are
         dense ranks 1..n of the folded code points in code-point order,
@@ -798,7 +779,7 @@ class BucketWindowStats:
         per-slot counts up to k = 3, 2, 1 and spreads them into the
         covering windows.
         """
-        ccls, cbits, _ = _char_classes(cp)
+        ccls, cbits = _char_classes(cp)
         kmax = _KMAX[self.profile]
         size, step = self.window_size_us or 0, self.step_us
         sliding = step is not None and step != size
@@ -849,28 +830,16 @@ class BucketWindowStats:
                     per_slot, c)[in_call], minlength=G)
             grp = 0
             q = np.repeat(sq_codes, lens_raw)
-        # k-grams inside the turns of each window: n_chars at k = 1, and the
-        # denominator of each k's entropy
-        out["n_chars"] = kgrams_in(1).astype(np.int64)
         if len(cp) == 0:
-            for name in _TEXT_STATS[:kmax]:
-                out[name] = np.zeros(G, dtype=np.float64)
-            return
-
+            return kgrams_in, ()
         # distinct (group, c0..c3[, slot]) keys with their counts; every
-        # k below works on these
+        # k works on these
         hi, lo, q, ecnt = _distinct_keys(ccls, lens_raw, grp, cbits, kmax, q)
         if sliding:
-            pairs = _slot_kgrams(hi, lo, q.astype(dt), ecnt.astype(dt),
-                                 cbits, kmax,
-                                 _slot_axis(sq_cg, sq_slot, c, dt), wc, c)
-        else:
-            pairs = ((k, hi[st] >> cbits, n) for k, st, n
-                     in _window_kgrams(hi, lo, ecnt, cbits, kmax))
-        for k, w, cnt in pairs:
-            denom = kgrams_in(k)
-            denom[denom == 0] = 1.0
-            out[_TEXT_STATS[k - 1]] = _segment_entropy(w, cnt, G, denom)
+            return kgrams_in, _slot_kgrams(
+                hi, lo, q.astype(dt), ecnt.astype(dt), cbits, kmax,
+                _slot_axis(sq_cg, sq_slot, c, dt), wc, c)
+        return kgrams_in, _window_kgrams(hi, lo, ecnt, cbits, kmax)
 
     def _bigram_counts(self, cp: np.ndarray,
                        lens_raw: np.ndarray) -> np.ndarray:
@@ -889,42 +858,66 @@ class BucketWindowStats:
         row_of_pos = np.repeat(np.arange(n_raw), lens_raw)[: len(m)]
         return np.bincount(row_of_pos[m], minlength=n_raw)
 
+    def _finish(self, out: dict, G: int, n_kgrams=None, kgrams=(),
+                bigrams=None, seq=None, spilled=False) -> pa.Table:
+        """``out``'s G windows (window and role columns set) as a table
+        with the text and CTW columns; ``table`` and ``finish`` end here.
+        ``n_kgrams(k)``: each window's k-grams inside its turns, float64
+        (None: no text columns). ``kgrams``: (k, window, count) of every
+        k-gram, each window's in k-gram order; if ``spilled``, a window
+        takes the k-grams its counts miss as one more symbol, added last.
+        ``bigrams``: designated-bigram counts; ``seq``: ``_finish_ctw``'s
+        arguments."""
+        zeros = np.zeros(G, dtype=np.float64)
+        for name in _TEXT_STATS + ("bigram_rate", "ctw_roles_bpb",
+                                   "ctw_text_bpb"):
+            out[name] = zeros
+        if n_kgrams is None:
+            out["n_chars"] = np.zeros(G, dtype=np.int64)
+            return self._frame(out)
+        out["n_chars"] = n_kgrams(1).astype(np.int64)
+        for k, w, cnt in kgrams:
+            denom = n_kgrams(k)
+            if spilled:
+                rest = denom - np.bincount(w, weights=cnt, minlength=G)
+                more = np.flatnonzero(rest)
+                w, cnt = np.r_[w, more], np.r_[cnt, rest[more]]
+            denom[denom == 0] = 1.0
+            out[_TEXT_STATS[k - 1]] = _segment_entropy(w, cnt, G, denom)
+        if bigrams is not None:
+            out["bigram_rate"] = bigrams / np.maximum(out["n_chars"], 1)
+        if seq is not None:
+            self._finish_ctw(out, G, *seq)
+        return self._frame(out)
+
     def _finish_ctw(self, out, G, t, rows, ts_e, codes, role5_e):
-        # ---- order-dependent per-window kernels (CTW) ----
+        """The order-dependent columns: CTW of each window's roles and,
+        with ``ctw_text``, of its text's character classes, each by one
+        ``ctw_batch`` call over every window's symbols back to back, and
+        the ``kgram_freqs`` vectors. A window's turns go in (ts, turn_uid
+        | turn_idx, row) order, the stream engine's order; membership i
+        is raw row ``rows[i]`` of ``t``, in window ``codes[i]``."""
         from .. import kernels as K
 
-        need_ctw = self.profile in ("full", "fast") and self.ctw_depth >= 0
-        # turns of one window in (ts, turn_uid | turn_idx, row) order, the
-        # stream engine's order
         uid_col = next((c for c in ("turn_uid", "turn_idx")
                         if c in t.column_names), None)
         uid_raw = (t[uid_col].to_numpy() if uid_col
                    else np.arange(t.num_rows))
-        if need_ctw or self.ctw_text or self.kgram_freqs:
-            order = np.lexsort((uid_raw[rows], ts_e, codes))
-            codes_s = codes[order]
-            start = np.searchsorted(codes_s, np.arange(G))
-            stop = np.searchsorted(codes_s, np.arange(G), side="right")
-        if need_ctw:
-            sym_arr = np.where(role5_e < 4, role5_e, 255)[order].astype(np.uint8)
-            out["ctw_roles_bpb"] = _ctw_distinct(
-                [sym_arr[start[gi]:stop[gi]].tobytes() for gi in range(G)],
-                self.ctw_depth)
-        else:
-            out["ctw_roles_bpb"] = np.zeros(G, dtype=np.float64)
-
+        order = np.lexsort((uid_raw[rows], ts_e, codes))
+        codes_s = codes[order]
+        # window i's memberships are order[offsets[i]:offsets[i + 1]]
+        offsets = np.r_[np.searchsorted(codes_s, np.arange(G)), len(order)]
+        if self.ctw_depth >= 0:
+            out["ctw_roles_bpb"] = K.ctw_batch(
+                np.where(role5_e < 4, role5_e, 255)[order].astype(np.uint8),
+                offsets, self.ctw_depth)
         # char-class CTW over ordered window text (opt-in; the reference's
         # per-character dominant cost, fw.rs:92 over the window sequence)
         if self.ctw_text:
-            texts_raw = _strings(t["text"], "").to_pylist()
-            raw_s = rows[order]
-            out["ctw_text_bpb"] = _ctw_distinct(
-                [K.text_class_symbols(
-                    "".join(texts_raw[q] for q in raw_s[start[gi]:stop[gi]]))
-                 for gi in range(G)],
-                self.ctw_depth)
-        else:
-            out["ctw_text_bpb"] = np.zeros(G, dtype=np.float64)
+            _, data, off = _utf8(t["text"].take(
+                pa.array(rows[order], pa.int64())))
+            out["ctw_text_bpb"] = K.ctw_batch(K._TEXT_CLASS_LUT[data],
+                                              off[offsets], self.ctw_depth)
 
         # dense role-k-gram frequency vectors over the ordered window
         # role sequence: length-5^k int32 arrays in lexicographic ACGTN
@@ -960,8 +953,8 @@ class BucketWindowStats:
         ``role``, ``text``, ``tool``), one per window membership and each
         window's in arrival order, to the summaries: row i to
         ``sums[win[i]]``. The k-gram keys of all rows come from one sort
-        and merge into the histograms by one grouped sum per k
-        (``_merge_hist``, which spills a histogram past ``KGRAM_CAP``
+        (``_distinct_keys``) and merge into the histograms by one grouped
+        sum (``_merge_hist``, which cuts a histogram past ``KGRAM_CAP``
         keys)."""
         W = len(sums)
         ts = _int64_us(t["ts"])
@@ -971,19 +964,25 @@ class BucketWindowStats:
         last = np.full(W, np.iinfo(np.int64).min, dtype=np.int64)
         np.maximum.at(last, win, ts)
         big = np.zeros(W)
+        totals = np.zeros((W, 4))
         kmax = _KMAX[self.profile]
         if kmax:
             cp, lens = _text_codes(t["text"])
             if self.profile == "full":
                 big = np.bincount(win, weights=self._bigram_counts(cp, lens),
                                   minlength=W)
+            totals = np.stack([np.bincount(win, weights=np.maximum(
+                lens - j, 0), minlength=W) for j in range(4)], axis=1)
             if len(cp):
-                for k, w, hi, lo, n in _kgram_keys(cp, lens, win, kmax):
-                    _merge_hist(sums, k, w, hi, lo, n)
+                hi, lo, _, n = _distinct_keys(
+                    _ascii_upper(cp).astype(np.int64) + 1, lens,
+                    np.repeat(win, lens), _CP_BITS, kmax)
+                _merge_hist(sums, hi, lo, n)
         for i, s in enumerate(sums):
             s.roles += roles[i]
             s.masked += int(masked[i])
             s.bigrams += int(big[i])
+            s.totals += totals[i].astype(np.int64)
             s.last_ts = max(s.last_ts, int(last[i]))
         if self._need_seq():
             seq = pa.table({"ts": ts, "turn_uid": t["turn_uid"],
@@ -1001,8 +1000,9 @@ class BucketWindowStats:
                start, end) -> pa.Table:
         """One stats row per summary: ``table``'s row on the summary's
         rows, for the windows (``conv_id``, ``start``) ending at ``end``
-        (epoch us). A spilled histogram takes the k-grams it dropped as
-        one more symbol."""
+        (epoch us). The k-grams of every k come from the histograms by
+        ``table``'s own ``_window_kgrams``; a spilled histogram takes the
+        k-grams it cut as one more symbol per k."""
         G = len(sums)
         out: dict = {"conv_id": pa.array(conv_id, pa.string())}
         for name, v in (("window_start", start), ("window_end", end),
@@ -1010,36 +1010,29 @@ class BucketWindowStats:
             out[name] = np.asarray(v, dtype=np.int64).astype("datetime64[us]")
         out.update(role_stats(np.stack([s.roles for s in sums]),
                               np.array([s.masked for s in sums], np.float64)))
-        totals = np.stack([s.totals for s in sums])
-        out["n_chars"] = totals[:, 0]
-        zeros = np.zeros(G, dtype=np.float64)
-        for name in _TEXT_STATS + ("bigram_rate", "ctw_roles_bpb",
-                                   "ctw_text_bpb"):
-            out[name] = zeros
-        denom = totals.astype(np.float64)
-        denom[denom == 0] = 1.0
-        for k in range(1, _KMAX[self.profile] + 1):
-            cnt = []
-            for s in sums:
-                c = s.hist[k - 1][2]
-                rest = s.totals[k - 1] - c.sum()
-                cnt.append(np.r_[c, rest] if rest else c)
-            out[_TEXT_STATS[k - 1]] = _segment_entropy(
-                np.repeat(np.arange(G), [len(c) for c in cnt]),
-                np.concatenate(cnt), G, denom[:, k - 1])
-        if self.profile == "full":
-            out["bigram_rate"] = np.array([s.bigrams for s in sums],
-                                          np.float64) / denom[:, 0]
+        kmax = _KMAX[self.profile]
+        if not kmax:
+            return self._finish(out, G)
+        totals = np.stack([s.totals for s in sums]).astype(np.float64)
+        hi = np.concatenate([(g << _CP_BITS) | s.hist[0]
+                             for g, s in enumerate(sums)])
+        lo, cnt = (np.concatenate([s.hist[j] for s in sums]) for j in (1, 2))
+        kgrams = _window_kgrams(hi, lo, cnt, _CP_BITS, kmax) if len(cnt) \
+            else ()
+        seq = None
         if self._need_seq():
             t = pa.concat_tables([s.seq for s in sums])
-            self._finish_ctw(out, G, t, np.arange(t.num_rows),
-                             t["ts"].to_numpy(),
-                             np.repeat(np.arange(G),
-                                       [s.seq.num_rows for s in sums]),
-                             t["role"].to_numpy().astype(np.int64))
-        return self._frame(out, self._schema(pa.string()))
+            seq = (t, np.arange(t.num_rows), t["ts"].to_numpy(),
+                   np.repeat(np.arange(G), [s.seq.num_rows for s in sums]),
+                   t["role"].to_numpy().astype(np.int64))
+        return self._finish(
+            out, G, lambda k: totals[:, k - 1].copy(), kgrams,
+            np.array([s.bigrams for s in sums], np.float64)
+            if self.profile == "full" else None, seq,
+            any(s.spilled for s in sums))
 
-    def _frame(self, out: dict, schema: pa.Schema) -> pa.Table:
+    def _frame(self, out: dict) -> pa.Table:
+        schema = self._schema(out["conv_id"].type)
         return pa.Table.from_arrays(
             [pa.array(out[f.name], f.type, from_pandas=True)
              if isinstance(out[f.name], np.ndarray) else out[f.name]

@@ -29,12 +29,12 @@ One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
   buffered rows plus text bytes pass ``KGRAM_CAP``: the window is
   promoted, its log rows fold into the summary, which bounds its memory,
   and ``Metrics.windows_promoted`` counts it. Each call folds the rows of
-  every promoted window with the kernel module's own code
-  (``BucketWindowStats.fold``: one character sort, one grouped sum into
-  the k-gram histograms) and emits a closed one with
-  ``BucketWindowStats.finish``, so its row equals the kernel's on the
-  same rows; a histogram past ``KGRAM_CAP`` distinct k-grams keeps its
-  heaviest keys only (``Metrics.kgram_spills``);
+  every promoted window with the kernel's code (``BucketWindowStats.fold``:
+  one sort into ``table``'s k-gram keys, one grouped sum into each
+  window's histogram) and emits a closed one by ``finish``, which ends in
+  ``table``'s own finishing code, so its row equals the kernel's on the
+  same rows. Past ``KGRAM_CAP`` keys a histogram cuts its lighter keys
+  short, so short k-grams stay exact (``Metrics.kgram_spills``);
 - **checkpoint/resume**: ``snapshot()``/``restore()`` round-trip the whole
   state (row log, open sessions, count positions, summaries, revisions,
   watermark, dedup sets, metrics).
@@ -562,7 +562,7 @@ class StreamEngine:
             sums, [k[0] for k in keys], [k[1] for k in keys], ends))
         aggs = self._aggs()
         for row, sm in zip(rows, sums):
-            self.metrics.kgram_spills += sm.spilled()
+            self.metrics.kgram_spills += sm.spilled
             if aggs:
                 row.update({agg.name: agg.emit(x)
                             for agg, x in zip(aggs, sm.custom)})
@@ -805,6 +805,10 @@ class StreamEngine:
         d = _Unpickler(io.BytesIO(blob)).load()
         eng = cls(d["cfg"], d["partition_id"])
         eng.watermark, eng.max_ts = d["watermark"], d["max_ts"]
+        if any(isinstance(sm.hist, list) for sm in d["open"].values()):
+            raise ValueError("snapshot's promoted windows keep one k-gram "
+                             "histogram per k; it cannot resume: replay "
+                             "the input from its start")
         eng.open, eng.heap = d["open"], d["heap"]
         eng.seen_uids = d["seen_uids"]
         # older snapshots lack the newer counters and the row log

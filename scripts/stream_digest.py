@@ -15,12 +15,17 @@ were never promoted, ``promoted`` for the others), column, md5; rows are
 sorted by (conv_id, window_start), and each column is hashed as its null
 positions plus its values (floats by their bits). Then one line per
 engine counter, summed over the partitions: seed, ``metrics``, name,
-value. Running it on two checkouts and diffing the two outputs checks
-that they emit bit-identical windows.
+value. Running it on two checkouts and diffing the md5 and ``metrics``
+lines checks that they emit bit-identical windows. Last come two lines
+tagged ``size``, in bytes, over every engine after every call: the
+largest pickled promoted summary (``promoted_pickle_max``) and the
+largest ``snapshot()`` (``snapshot_max``); they track state size, not
+output, so they may differ between checkouts.
 """
 
 import hashlib
 import os
+import pickle
 import sys
 from types import SimpleNamespace
 
@@ -40,21 +45,28 @@ SECONDS = 10
 
 
 def replay(seed: int):
-    """(emitted frame, promoted window keys, summed counters)."""
+    """(emitted frame, promoted window keys, summed counters, largest
+    sizes)."""
     inputs = wl_stream.generate(SimpleNamespace(seed=seed, seconds=SECONDS))
     engines = [StreamEngine(wl_stream._cfg(), p)
                for p in range(gen.STREAM_PARTITIONS)]
     rows, promoted = [], set()
+    sizes = {"promoted_pickle_max": 0, "snapshot_max": 0}
     for _, _, subs in inputs["batches"]:
         for eng, sub in zip(engines, subs):
             rows += eng.process_rows(sub)
             promoted.update(eng.open)
+            sizes["promoted_pickle_max"] = max(
+                [sizes["promoted_pickle_max"]]
+                + [len(pickle.dumps(sm)) for sm in eng.open.values()])
+            sizes["snapshot_max"] = max(sizes["snapshot_max"],
+                                        len(eng.snapshot()))
     metrics: dict = {}
     for eng in engines:
         rows += eng.flush()
         for k, v in eng.metrics.as_dict().items():
             metrics[k] = metrics.get(k, 0) + v
-    return emitted_to_frame(rows, "tumbling"), promoted, metrics
+    return emitted_to_frame(rows, "tumbling"), promoted, metrics, sizes
 
 
 def column_md5(col: pd.Series) -> str:
@@ -72,7 +84,7 @@ def column_md5(col: pd.Series) -> str:
 
 
 def digest(seed: int) -> list[str]:
-    out, promoted, metrics = replay(seed)
+    out, promoted, metrics, sizes = replay(seed)
     out = out.sort_values(["conv_id", "window_start"]).reset_index(drop=True)
     ws = out["window_start"].astype("datetime64[us]").astype(np.int64)
     hit = np.array([k in promoted for k in zip(out["conv_id"], ws)],
@@ -85,6 +97,7 @@ def digest(seed: int) -> list[str]:
                   for c in part.columns]
     lines += [f"seed{seed}\tmetrics\t{k}\t{v}"
               for k, v in sorted(metrics.items())]
+    lines += [f"seed{seed}\tsize\t{k}\t{v}" for k, v in sizes.items()]
     return lines
 
 

@@ -198,24 +198,46 @@ def test_window_stats_ctw_matches_stream_engine(depth):
                                    st[col].astype(float), rtol=0, atol=1e-12)
 
 
-def test_ctw_distinct_computes_each_string_once(monkeypatch):
-    """Repeated symbol strings of one call reach ``ctw_batch`` once, and
-    every window gets its own string's value back."""
-    from fasta_windows_ray.stages import window_stats as W
+def test_repeated_role_strings_each_get_the_oracle_value(monkeypatch):
+    """Windows of one ``table`` call whose role strings repeat each get
+    the oracle's value, from one ``ctw_batch`` call per CTW column over
+    the symbols of every window."""
+    import pyarrow as pa
 
+    from fasta_windows_ray.stages.window_stats import (ROLE_ORDER,
+                                                       BucketWindowStats)
+
+    S = 1_000_000
     wins = [bytes([0, 1, 2, 3][:i]) + bytes([FLUSH, i % 4]) for i in range(5)]
-    sizes = []
+    wins += wins[:2]
+    role = {**dict(enumerate(ROLE_ORDER)), FLUSH: "other"}
+    words = ["ab", "7 ", "!?", "é", "Zz", ""]
+    rows = [(w, j, role[s], words[j]) for w, win in enumerate(wins)
+            for j, s in enumerate(win)]
+    ts = pa.timestamp("us")
+    t = pa.table({
+        "conv_id": ["c"] * len(rows),
+        "turn_uid": list(range(len(rows))),
+        "role": [r[2] for r in rows], "text": [r[3] for r in rows],
+        "tool": [""] * len(rows),
+        "ts": pa.array([r[0] * 10 * S + r[1] * S for r in rows], ts),
+        "window_start": pa.array([r[0] * 10 * S for r in rows], ts)})
+    calls = []
     real = K.ctw_batch
 
     def counting(buf, offsets, depth):
-        sizes.append(len(offsets) - 1)
+        calls.append(len(offsets) - 1)
         return real(buf, offsets, depth)
 
     monkeypatch.setattr(K, "ctw_batch", counting)
-    got = W._ctw_distinct(wins + wins[:2], 6)
-    assert sizes == [5]
-    want = [_oracle(w, 6) for w in wins]
-    np.testing.assert_allclose(got, want + want[:2], rtol=0, atol=1e-12)
+    got = BucketWindowStats(ctw_text=True, window_size_us=10 * S).table(t)
+    assert calls == [len(wins)] * 2
+    np.testing.assert_allclose(got["ctw_roles_bpb"].to_numpy(),
+                               [_oracle(w, 6) for w in wins],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got["ctw_text_bpb"].to_numpy(),
+                               [K.ctw_text_classes(words[:len(w)], 6)
+                                for w in wins], rtol=0, atol=1e-12)
 
 
 def test_ctw_equal_ts_turns_follow_turn_idx():

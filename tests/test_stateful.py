@@ -300,60 +300,75 @@ def test_task_failure_retried_transparently(ray_session, tmp_path):
     pd.testing.assert_frame_equal(canon(out), canon(clean))
 
 
-def test_bounded_kgrams_exact_below_cap_roundtrip():
-    """Below the cap a window summary keeps exact k-gram counts
-    (bit-identical entropy)."""
+def _turns(texts) -> "pa.Table":
+    """Log rows of one window: one user turn per text."""
     import pyarrow as pa
 
+    n = len(texts)
+    return pa.table({"ts": pa.array(np.arange(n), pa.timestamp("us")),
+                     "turn_uid": np.arange(n), "role": ["user"] * n,
+                     "text": texts, "tool": [""] * n})
+
+
+def test_bounded_kgrams_exact_below_cap_roundtrip():
+    """Below the cap a window summary keeps exact k-gram keys: the
+    bigrams read off its 4-gram keys' prefixes are the text's, and the
+    entropy is bit-identical."""
     from fasta_windows_ray import kernels as K
-    from fasta_windows_ray.stages.window_stats import (BucketWindowStats,
+    from fasta_windows_ray.stages.window_stats import (_CP_BITS,
+                                                       BucketWindowStats,
                                                        WindowSummary)
 
     inst = BucketWindowStats(ctw_depth=-1, profile="full")
     sm = WindowSummary()
-    inst.fold([sm], pa.table({"ts": [0], "turn_uid": [0], "role": ["user"],
-                              "text": ["abcabcabd"], "tool": [""]}),
-              np.zeros(1, dtype=np.int64))
-    assert not sm.spilled()
+    inst.fold([sm], _turns(["abcabcabd"]), np.zeros(1, dtype=np.int64))
+    assert not sm.spilled
+    assert sm.totals.tolist() == [9, 8, 7, 6]
     exp = {"AB": 3, "BC": 2, "CA": 2, "BD": 1}  # ASCII-folded
-    hi, lo, cnt = sm.hist[1]
-    got = {chr(h) + chr(x): c for h, x, c in zip(hi.tolist(), lo.tolist(),
-                                                  cnt.tolist())}
+    got: dict = {}
+    for h, x, c in zip(*(a.tolist() for a in sm.hist)):
+        c1 = x >> (2 * _CP_BITS)         # class = code point + 1, 0 past
+        if c1:                           # the turn's end
+            key = chr(h - 1) + chr(c1 - 1)
+            got[key] = got.get(key, 0) + c
     assert got == exp
     st = inst.finish([sm], ["c"], [0], [10 * S]).to_pylist()[0]
     assert st["bigram_diversity"] == K.entropy_from_counts(
         [exp[g] for g in sorted(exp)])
 
 
-def test_bounded_kgrams_spill_flat_memory():
-    """Past the cap a histogram spills to its heaviest keys: memory stays
-    fixed, totals stay exact, entropy stays finite and close to the true
-    value for a heavy-hitter-dominated distribution."""
+def test_bounded_kgrams_spill_flat_memory(monkeypatch):
+    """Past the cap a histogram spills: its heaviest keys stay whole and
+    the others are cut, so its size never passes the cap however many
+    distinct keys come, totals stay exact, and entropy stays finite and
+    below the true value for a heavy-hitter-dominated distribution."""
     import math
 
-    from fasta_windows_ray.stages.window_stats import (BucketWindowStats,
-                                                       WindowSummary,
-                                                       _merge_hist)
+    from fasta_windows_ray.stages import window_stats as W
 
-    def add(sm, hi, lo, n):
-        _merge_hist([sm], 2, np.zeros(len(lo), dtype=np.int64),
-                    np.full(len(lo), hi), np.asarray(lo),
-                    np.asarray(n, dtype=np.int64), cap=512)
+    monkeypatch.setattr(W, "KGRAM_CAP", 512)
+    inst = W.BucketWindowStats(ctw_depth=-1)
+    # bigram i: two characters of a 64-letter alphabet, one turn each
+    bigram = [chr(0x4E00 + i % 64) + chr(0x4E00 + i // 64)
+              for i in range(4020)]
 
-    sm = WindowSummary()
-    sm.roles[0] = 1
-    add(sm, 1, np.arange(8), [1000] * 8)            # heavy hitters
-    add(sm, 2, np.arange(512), [1] * 512)           # seeds
-    for i in range(0, 4000, 100):                   # tails
-        add(sm, 3, np.arange(i, i + 100), [1] * 100)
-        assert len(sm.hist[1][2]) == 512 // 16      # fixed size
-    assert sm.spilled(2)
-    assert sm.totals[1] == 8000 + 512 + 4000
-    h = BucketWindowStats(ctw_depth=-1).finish(
-        [sm], ["c"], [0], [1]).to_pylist()[0]["bigram_diversity"]
+    def add(sm, texts):
+        inst.fold([sm], _turns(texts), np.zeros(len(texts), dtype=np.int64))
+
+    sm = W.WindowSummary()
+    add(sm, bigram[:8] * 1000)                      # heavy hitters
+    add(sm, bigram[8:520])                          # seeds
+    assert sm.spilled
+    sizes = []
+    for i in range(520, 4020, 100):                 # tails
+        add(sm, bigram[i:i + 100])
+        sizes.append(len(sm.hist[2]))
+    assert max(sizes) <= 512                        # fixed memory
+    assert sm.totals[1] == 8000 + 512 + 3500
+    h = inst.finish([sm], ["c"], [0], [1]).to_pylist()[0]["bigram_diversity"]
     n = sm.totals[1]
     p_hh, p_t = 1000 / n, 1 / n
-    true = -(8 * p_hh * math.log2(p_hh) + 4512 * p_t * math.log2(p_t))
+    true = -(8 * p_hh * math.log2(p_hh) + 4012 * p_t * math.log2(p_t))
     assert 0 < h <= true + 1e-9          # tail-aggregated lower bound
 
 

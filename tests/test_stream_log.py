@@ -401,6 +401,37 @@ def _hot_stream(seed: int, n: int = 2400) -> pd.DataFrame:
         "ts": (EPOCH + np.arange(n) * 50_000).astype("datetime64[us]")})
 
 
+def test_restore_refuses_per_k_histograms():
+    """A snapshot whose promoted window keeps one k-gram histogram per k
+    (summaries from before they kept the kernel's k_max-gram keys) is
+    refused: those histograms cannot give the new keys."""
+    eng = StreamEngine(WindowConfig(kind="tumbling", size_us=3600 * S))
+    eng.process_rows(_hot_stream(5).iloc[:2000])
+    assert eng.open
+    d = pickle.loads(eng.snapshot())
+    for sm in d["open"].values():
+        sm.hist = [sm.hist] * 4
+        del sm.spilled
+    with pytest.raises(ValueError, match="one k-gram histogram per k"):
+        StreamEngine.restore(pickle.dumps(d))
+
+
+def test_restore_without_promoted_windows_resumes():
+    """A snapshot taken before any window was promoted restores and
+    resumes: the run emits what an uncut run does, bit for bit."""
+    df = _hot_stream(5)
+    cfg = WindowConfig(kind="tumbling", size_us=3600 * S)
+    want, _ = _feed(cfg, df, [])
+    eng = StreamEngine(cfg)
+    out = eng.process_rows(df.iloc[:200])
+    assert not eng.open
+    eng = StreamEngine.restore(eng.snapshot())
+    out += eng.process_rows(df.iloc[200:]) + eng.flush()
+    assert eng.metrics.windows_promoted == 1
+    pd.testing.assert_frame_equal(_canon(out, "tumbling"),
+                                  _canon(want, "tumbling"), check_exact=True)
+
+
 def _kernel_rows(cfg, df: pd.DataFrame) -> dict:
     """``BucketWindowStats.table``'s row of every window of ``cfg`` on
     ``df`` (all of it accepted), as the engine emits it, with the

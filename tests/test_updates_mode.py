@@ -208,8 +208,9 @@ def test_streaming_job_updates_end_to_end(ray_session, tmp_path):
 def test_retention_state_bounded():
     """Long stream, small retention: retained-window state stays bounded
     (windows GC at end+retention; revisions dict tracks only live keys).
-    Updates-mode windows live in the row log, so the log's rows are
-    bounded too: at most 5 live windows of 10 one-second rows."""
+    Updates-mode windows live in the row log and are never promoted to
+    summaries, so ``open`` stays empty and the log's rows are bounded:
+    at most 5 live windows of 10 one-second rows."""
     cfg = WindowConfig(kind="tumbling", size_us=10 * S, profile="counts",
                        emit="updates", retention_us=20 * S)
     eng = StreamEngine(cfg)
@@ -217,7 +218,7 @@ def test_retention_state_bounded():
         ts = np.arange(20) + chunk * 20
         eng.process_rows(mk(ts.tolist(), idx=(ts * 7).tolist()))
         # live horizon = watermark - (size + retention) => <= ~4 windows
-        assert len(eng.open) <= 5
+        assert not eng.open
         assert eng.log.num_rows <= 50
         assert len(eng.revisions) <= 5
         assert len(eng.ret_heap) <= 5
