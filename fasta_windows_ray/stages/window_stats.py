@@ -366,10 +366,11 @@ def _window_kgrams(hi: np.ndarray, lo: np.ndarray, cnt: np.ndarray,
 def _char_classes(cp: np.ndarray):
     """The characters of every turn as classes: dense ranks 1..n of their
     ASCII-folded code points, in code-point order. Returns (the class of
-    each character, bits of a class)."""
+    each character, bits of a class, code point + 1 by class; 0 for 0)."""
     up = _ascii_upper(cp)
-    rank = np.cumsum(np.bincount(up, minlength=1) > 0)
-    return rank[up], _bits(rank[-1])
+    present = np.bincount(up, minlength=1) > 0
+    rank = np.cumsum(present)
+    return rank[up], _bits(rank[-1]), np.r_[0, np.flatnonzero(present) + 1]
 
 
 def _distinct_keys(cls: np.ndarray, lens_raw: np.ndarray, grp, cbits: int,
@@ -779,7 +780,7 @@ class BucketWindowStats:
         per-slot counts up to k = 3, 2, 1 and spreads them into the
         covering windows.
         """
-        ccls, cbits = _char_classes(cp)
+        ccls, cbits, _ = _char_classes(cp)
         kmax = _KMAX[self.profile]
         size, step = self.window_size_us or 0, self.step_us
         sliding = step is not None and step != size
@@ -974,9 +975,15 @@ class BucketWindowStats:
             totals = np.stack([np.bincount(win, weights=np.maximum(
                 lens - j, 0), minlength=W) for j in range(4)], axis=1)
             if len(cp):
-                hi, lo, _, n = _distinct_keys(
-                    _ascii_upper(cp).astype(np.int64) + 1, lens,
-                    np.repeat(win, lens), _CP_BITS, kmax)
+                ccls, cbits, cp1 = _char_classes(cp)
+                hi, lo, _, n = _distinct_keys(ccls, lens, np.repeat(win, lens),
+                                              cbits, kmax)
+                # the summary's classes are code points + 1: ranks follow
+                # code points, so the keys stay sorted
+                mask = (1 << cbits) - 1
+                hi = (hi >> cbits << _CP_BITS) | cp1[hi & mask]
+                lo = sum((cp1[(lo >> (cbits * j)) & mask] << (_CP_BITS * j)
+                          for j in range(kmax - 1)), np.zeros_like(lo))
                 _merge_hist(sums, hi, lo, n)
         for i, s in enumerate(sums):
             s.roles += roles[i]

@@ -4,20 +4,20 @@ One ``StreamEngine`` owns a hash partition of conv_ids and keeps:
 
 - a **row log** for every window (tumbling, sliding, session and count,
   with or without ``custom_aggs``, in both emission modes): the accepted
-  rows, in arrival order, as one Arrow table. Each
-  ``process_rows``/``flush`` call computes every window it emits with the
-  batch kernel (``BucketWindowStats.table``, CTW by ``ctw_batch``), in
-  whole-window chunks of about ``_CHUNK_CHARS`` characters, and folds
-  custom aggregates over each window's rows in arrival order. In final
-  mode a window closes: tumbling/sliding, once the watermark reaches its
-  end (a row leaves the log with its newest window); session, when a row
-  of its conv comes more than ``gap_us`` after its last ts, at a call's
-  end once the watermark is more than ``gap_us`` past that ts, or at
-  ``flush``; count (a row's chunk is its rank among its conv's accepted
-  rows // ``count_turns``), once full, or at ``flush`` with a clamped
-  end. In updates mode each emission is a **pane**: the window's log
-  rows up to the row that fires it (see ``_fire``), and a row leaves the
-  log once its newest window is ``retention_us`` past the watermark;
+  rows, in arrival order, as one Arrow table. Each call computes every
+  window it emits with the batch kernel (``BucketWindowStats.table``, CTW
+  by ``ctw_batch``), in whole-window chunks of about ``_CHUNK_CHARS``
+  characters, and folds custom aggregates over each window's rows in
+  arrival order. In final mode a window closes: tumbling/sliding, once
+  the watermark reaches its end (a row leaves the log with its newest
+  window); session, when a row of its conv comes more than ``gap_us``
+  after its last ts, at a call's end once the watermark is more than
+  ``gap_us`` past that ts, or at the flush; count (a row's chunk is its
+  rank among its conv's accepted rows // ``count_turns``), once full, or
+  at the flush with a clamped end. In updates mode each emission is a
+  **pane**: the window's log rows up to the row that fires it (see
+  ``_fire``), and a row leaves the log once its newest window is
+  ``retention_us`` past the watermark;
 - a **watermark** = max event ts seen in the partition − allowed
   lateness (derived from data, never wall clock). A row is late iff its
   ts is below the watermark set by the rows before it; late rows are
@@ -44,10 +44,12 @@ rows before it, and so are the panes a row fires; so draining once per
 call emits exactly what draining after every row would, and the output
 does not depend on how the input is split into calls.
 
-Emission does NOT buffer: ``process_rows``/``flush`` RETURN the emitted
-rows and the engine retains no emitted history (a long-running partition
-actor's heap stays flat; callers collect the returns, see
-state/runner.py).
+Emission does NOT buffer: ``process_table``/``flush_table`` RETURN the
+call's windows as one Arrow table (its format is ``empty``'s; a keyed
+window's start and end replace the window columns) and the engine keeps
+no emitted history (callers collect, see state/runner.py). Rows come in
+``_fire``'s pane order in updates mode, else by (end, conv_id, start).
+``process_rows``/``flush`` give them as dicts.
 
 Partitioning contract: one ``StreamEngine`` instance owns a hash
 partition of conv_ids; rows must arrive partition-ordered by event-log
@@ -175,25 +177,23 @@ def _runs(keys: np.ndarray):
 
 
 def _emitted_rows(t: pa.Table) -> list[dict]:
-    """Kernel output as emitted rows: timestamps as int64 epoch-us, and
-    NaN where the kernel wrote a 0/0 ratio as null."""
-    cols = []
-    for f in t.schema:
-        col = t[f.name]
-        if pa.types.is_timestamp(f.type):
-            col = col.cast(pa.int64())
-        elif pa.types.is_floating(f.type):
-            col = pc.fill_null(col, math.nan)
-        cols.append(col.to_pylist())
-    names = t.column_names
-    return [dict(zip(names, v)) for v in zip(*cols)]
+    """Kernel or engine output as dicts: timestamps as int64 epoch-us,
+    NaN where the kernel wrote a 0/0 ratio as null, and a session's or
+    count chunk's (start, end) keys last."""
+    t = t.select(sorted(t.column_names, key=lambda c: any(
+        c in b for b in _BOUNDS.values())))         # stable: bounds last
+    cols = [(c.cast(pa.int64()) if pa.types.is_timestamp(c.type) else
+             pc.fill_null(c, math.nan) if pa.types.is_floating(c.type)
+             else c).to_pylist() for c in t.columns]
+    return [dict(zip(t.column_names, v)) for v in zip(*cols)]
 
 
 class StreamEngine:
     """State machine for one partition (a hash range of conv_ids).
 
-    ``process_rows``/``flush`` RETURN emitted rows; the engine keeps no
-    emitted history (long-running actors stay flat — callers collect)."""
+    ``process_table``/``flush_table`` RETURN the emitted windows; the
+    engine keeps no emitted history (long-running actors stay flat —
+    callers collect)."""
 
     def __init__(self, cfg: WindowConfig, partition_id: int = 0):
         if cfg.emit not in ("final", "updates"):
@@ -239,6 +239,20 @@ class StreamEngine:
                                         ctw_depth=cfg.ctw_depth,
                                         bigram=cfg.bigram,
                                         ctw_text=cfg.ctw_text)
+        self._aggs = []                 # the ``custom_aggs`` aggregates
+        if cfg.custom_aggs:
+            from ..functions import registry
+            self._aggs = [registry.get(n) for n in cfg.custom_aggs]
+        # the table of a call that emits nothing, whose schema every
+        # emitted table has: the kernel's columns (a keyed window's start
+        # and end for the window columns), one per custom aggregate and,
+        # in updates mode, ``revision``
+        self.empty = self._with_custom(self._stats.table(self.log[:0]), [])
+        if self._keyed:
+            self.empty = self._bounds(self.empty, {})
+        if self._updates:
+            self.empty = self.empty.append_column(
+                "revision", pa.array([], pa.int64()))
 
     def _prune_seen(self, conv: str, seen: set) -> set:
         """Bound dedup state. A duplicate below the watermark is dropped
@@ -264,28 +278,42 @@ class StreamEngine:
     # -- ingest -------------------------------------------------------------
 
     def process_rows(self, rows: pd.DataFrame) -> list[dict]:
+        """``process_table``'s windows as dicts (``_emitted_rows``)."""
+        return _emitted_rows(self.process_table(rows))
+
+    def process_table(self, rows: pd.DataFrame) -> pa.Table:
         """Feed a batch of rows (any column order; requires conv_id, ts;
-        turn_uid/role/text/tool optional). Returns the rows of the windows
-        that closed, or the panes that fired, in the batch."""
+        turn_uid/role/text/tool optional). Returns the windows that
+        closed, or the panes that fired, in the batch."""
         cols = rows.columns
         ts_arr = rows["ts"].to_numpy()
         if ts_arr.dtype != "M8[us]":
             ts_arr = rows["ts"].astype("datetime64[us]").to_numpy()
         ts_arr = ts_arr.view(np.int64)
-        if "turn_uid" in cols:
-            uid_arr = rows["turn_uid"].to_numpy()
-        elif "turn_idx" in cols:
-            uid_arr = rows["turn_idx"].to_numpy()
+        uid_arr = next((rows[c].to_numpy() for c in ("turn_uid", "turn_idx")
+                        if c in cols), np.arange(len(rows)))
+        return self._output(self._process_log(
+            rows, ts_arr, np.asarray(uid_arr, dtype=np.int64)))
+
+    def _output(self, parts: list[pa.Table]) -> pa.Table:
+        """A call's emitted tables as one: in updates mode ``_fire``'s,
+        else counted and by (end, conv_id, start)."""
+        if self._updates or not parts:
+            return parts[0] if parts else self.empty
+        t = pa.concat_tables(parts)
+        if self.cfg.kind == "session":
+            self.metrics.sessions_emitted += t.num_rows
         else:
-            uid_arr = np.arange(len(rows))
-        return self._process_log(rows, ts_arr,
-                                 np.asarray(uid_arr, dtype=np.int64))
+            self.metrics.windows_emitted += t.num_rows
+        s, e = _BOUNDS.get(self.cfg.kind, ("window_start", "window_end"))
+        return t.sort_by([(e, "ascending"), ("conv_id", "ascending"),
+                          (s, "ascending")])
 
     # -- row log ------------------------------------------------------------
 
     def _process_log(self, rows: pd.DataFrame, ts: np.ndarray,
-                     uid: np.ndarray) -> list[dict]:
-        """``process_rows``' one ingest path. Each row is judged late or
+                     uid: np.ndarray) -> list[pa.Table]:
+        """``process_table``'s one ingest path. Each row is judged late or
         duplicate, and given its session or count chunk, as one row at a
         time would be, against the watermark of the rows before it; the
         accepted rows go to the log in one append, and one drain emits
@@ -348,15 +376,14 @@ class StreamEngine:
             if self._updates:       # updates-mode windows are never promoted
                 self.log = pa.concat_tables([self.log, new])
                 wm = wm_row[sel]
-                return self._fire(wm0, wm, np.r_[wm[1:], self.watermark])
+                return [self._fire(wm0, wm, np.r_[wm[1:], self.watermark])]
             self._append(new, wm0)
-        out: list[dict] = []
+        out: list[pa.Table] = []
         if self._keyed:
             self._drain_keyed(out, closed, self.watermark - cfg.gap_us)
         elif not self._updates:         # updates mode fires in ``_fire``
             self._drain_log(out, wm0, self.watermark)
             self._drain(out, self.watermark)
-        self._sort(out)
         return out
 
     def _session_of(self, conv: str, ts: int, closed: dict) -> int:
@@ -452,11 +479,10 @@ class StreamEngine:
         memberships of the windows' log rows, to fold: (rows, conv_id,
         start), in arrival order."""
         cfg, log = self.cfg, self.log
-        aggs = self._aggs()
         for key in sorted(keys):
             sm = self.open[key] = WindowSummary()
-            if aggs:
-                sm.custom = [agg.init() for agg in aggs]
+            if self._aggs:
+                sm.custom = [agg.init() for agg in self._aggs]
             if not self._keyed:
                 heapq.heappush(self.heap, (key[1] + cfg.size_us, *key))
             del self._log_cost[key]
@@ -481,21 +507,15 @@ class StreamEngine:
         if self.cfg.custom_aggs:
             self._fold_custom(t, win, [sm.custom for sm in sums])
 
-    def _aggs(self) -> list:
-        """The ``custom_aggs`` aggregates."""
-        if not self.cfg.custom_aggs:
-            return []
-        from ..functions import registry
-        return [registry.get(n) for n in self.cfg.custom_aggs]
-
     def _emit(self, r: np.ndarray, w: np.ndarray,
-              e: np.ndarray | None = None) -> list[dict]:
+              e: np.ndarray | None = None) -> pa.Table:
         """Kernel rows of the log windows of the memberships (log row
         ``r``, window ``w``: a start, a window id or a pane number; all of
         each window's rows), in whole-window calls of about
-        ``_CHUNK_CHARS``. ``e`` gives each membership's
-        window end; tumbling/sliding windows default to ``w`` +
-        ``size_us``, and keyed windows have none."""
+        ``_CHUNK_CHARS``, by (conv_id's first log row, ``w``), with the
+        custom aggregates. ``e`` gives each membership's window end;
+        tumbling/sliding windows default to ``w`` + ``size_us``, and keyed
+        windows have none."""
         cfg, log = self.cfg, self.log
         codes = log["conv_id"].combine_chunks().dictionary_encode() \
             .indices.to_numpy().astype(np.int64)[r]
@@ -509,66 +529,62 @@ class StreamEngine:
             t = t.append_column("window_end", pa.array(w + cfg.size_us))
         first = np.r_[True, (codes[1:] != codes[:-1]) | (w[1:] != w[:-1])]
         heads = np.flatnonzero(first)
-        keys = list(zip(t["conv_id"].take(heads).to_pylist(),
-                        w[heads].tolist()))
-        custom = None
-        if cfg.custom_aggs:
-            aggs = self._aggs()
-            states = [[agg.init() for agg in aggs] for _ in keys]
-            self._fold_custom(t, np.cumsum(first) - 1, states)
-            custom = {key: {agg.name: agg.emit(x) for agg, x in zip(aggs, st)}
-                      for key, st in zip(keys, states)}
-        out = []
-        for a, b in _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
-                                  _CHUNK_CHARS):
-            for row in _emitted_rows(self._stats.table(t.slice(a, b - a))):
-                if custom is not None:
-                    row.update(custom[(row["conv_id"], row["window_start"])])
-                out.append(row)
-        for key in keys:
+        for key in zip(t["conv_id"].take(heads).to_pylist(),
+                       w[heads].tolist()):
             self._log_cost.pop(key, None)
-        return out
+        states = [[agg.init() for agg in self._aggs] for _ in heads]
+        if self._aggs:
+            self._fold_custom(t, np.cumsum(first) - 1, states)
+        # the kernel gives a call's windows by (conv_id's first row, start):
+        # the order of ``heads``
+        return self._with_custom(pa.concat_tables([
+            self._stats.table(t.slice(a, b - a)) for a, b in
+            _group_chunks(np.cumsum(first), 1 + _text_bytes(t),
+                          _CHUNK_CHARS)]), states)
+
+    def _with_custom(self, t: pa.Table, states: list) -> pa.Table:
+        """``t`` with one float64 column per custom aggregate (``emit``
+        gives a float): row i emits the aggregate states ``states[i]``."""
+        for i, agg in enumerate(self._aggs):
+            t = t.append_column(agg.name, pa.array(
+                [agg.emit(st[i]) for st in states], pa.float64(),
+                from_pandas=True))
+        return t
 
     def _fold_custom(self, t: pa.Table, win: np.ndarray,
                      states: list) -> None:
         """Fold ``custom_aggs`` over the rows of ``t`` in order: row i into
         the aggregate states ``states[win[i]]``."""
-        aggs = self._aggs()
         for w, v in zip(win.tolist(), _row_values(t)):
             row = dict(zip(_ROW_KEYS, v))
-            for agg, x in zip(aggs, states[w]):
+            for agg, x in zip(self._aggs, states[w]):
                 agg.add(x, row)
 
-    def _finish(self, row: dict, bounds: dict | None = None) -> dict:
-        """Count an emitted final-mode window; a keyed window's row gets
-        its kind's (start, end) columns from ``bounds`` for the window
-        columns."""
-        if self.cfg.kind == "session":
-            self.metrics.sessions_emitted += 1
-        else:
-            self.metrics.windows_emitted += 1
-        if self._keyed:
-            s, e = _BOUNDS[self.cfg.kind]
-            row[s], row[e] = bounds[(row["conv_id"], row["window_start"])]
-            del row["window_start"], row["window_end"], row["last_ts"]
-        return row
+    def _bounds(self, t: pa.Table, bounds: dict) -> pa.Table:
+        """Keyed windows' rows ``t`` (``window_start`` their id) with
+        their kind's (start, end) columns from ``bounds`` ((conv_id, id) ->
+        (start, end)) for the window columns and ``last_ts``."""
+        s, e = _BOUNDS[self.cfg.kind]
+        se = np.array([bounds[k] for k in zip(
+            t["conv_id"].to_pylist(), t["window_start"].cast(pa.int64())
+            .to_pylist())], np.int64).reshape(-1, 2).T
+        typ = pa.timestamp("us") if s == "session_start" else pa.int64()
+        rest = t.drop_columns(["conv_id", "window_start", "window_end",
+                               "last_ts"])
+        return pa.table([t["conv_id"], pa.array(se[0], typ),
+                         pa.array(se[1], typ), *rest.columns],
+                        names=["conv_id", s, e, *rest.column_names])
 
-    def _summary_rows(self, keys: list, ends: list,
-                      bounds: dict | None = None) -> list[dict]:
+    def _summaries(self, keys: list, ends: list) -> pa.Table:
         """The rows of the promoted windows ``keys``, ending at ``ends``,
         from their summaries, which leave ``open``."""
         sums = [self.open.pop(k) for k in keys]
-        rows = _emitted_rows(self._stats.finish(
-            sums, [k[0] for k in keys], [k[1] for k in keys], ends))
-        aggs = self._aggs()
-        for row, sm in zip(rows, sums):
-            self.metrics.kgram_spills += sm.spilled
-            if aggs:
-                row.update({agg.name: agg.emit(x)
-                            for agg, x in zip(aggs, sm.custom)})
-        return [self._finish(row, bounds) for row in rows]
+        self.metrics.kgram_spills += sum(sm.spilled for sm in sums)
+        return self._with_custom(self._stats.finish(
+            sums, [k[0] for k in keys], [k[1] for k in keys], ends),
+            [sm.custom for sm in sums])
 
-    def _drain_log(self, out: list[dict], lo: int, hi: int) -> None:
+    def _drain_log(self, out: list[pa.Table], lo: int, hi: int) -> None:
         """Emit every tumbling/sliding log window with ``lo < window_end
         <= hi``, and drop the rows whose newest window is among them."""
         cfg, log = self.cfg, self.log
@@ -588,7 +604,7 @@ class StreamEngine:
                                 in zip(r.tolist(), s.tolist())),
                                dtype=bool, count=len(r))
         if due.any():
-            out += map(self._finish, self._emit(r[due], s[due]))
+            out.append(self._emit(r[due], s[due]))
         self._drop_rows(ts, hi)
 
     def _drop_rows(self, ts: np.ndarray, hi: int) -> None:
@@ -604,7 +620,7 @@ class StreamEngine:
             self.log = self.log.filter(done > hi).combine_chunks()
 
     def _fire(self, wm0: int, wm_row: np.ndarray,
-              wm_after: np.ndarray) -> list[dict]:
+              wm_after: np.ndarray) -> pa.Table:
         """Updates mode: emit every pane that the call's accepted rows
         fire. They are the log's last ``len(wm_row)`` rows; ``wm_row`` is
         the watermark each saw and ``wm_after`` the one after it (``flush``
@@ -695,13 +711,12 @@ class StreamEngine:
         c = np.searchsorted(ck, pw * (n + 1) + cut) - a
         take = ms[np.repeat(a - np.cumsum(c) + c, c) + np.arange(c.sum())]
         pane = np.repeat(np.arange(len(pw)), c)
-        out = [None] * len(pw)
-        for row in (self._emit(r[take], pane, w_end[pw][pane])
-                    if len(pw) else []):
-            p = row["window_start"]
-            row["window_start"] = int(w_start[pw[p]])
-            row["revision"] = int(rev[p])
-            out[p] = row
+        out = self.empty
+        if len(pw):     # ``_emit`` gives a pane its number as start (col 1)
+            out = self._emit(r[take], pane, w_end[pw][pane])
+            out = out.take(pc.sort_indices(out["window_start"])).set_column(
+                1, "window_start", pa.array(w_start[pw], pa.timestamp("us"))
+            ).append_column("revision", pa.array(rev))
         met.late_updates += len(late)
         met.early_panes += len(early)
         met.windows_emitted += len(late) + len(ontime)
@@ -725,7 +740,7 @@ class StreamEngine:
         self._drop_rows(ts, self.watermark)
         return out
 
-    def _drain_keyed(self, out: list[dict], closed: dict,
+    def _drain_keyed(self, out: list[pa.Table], closed: dict,
                      before: int) -> None:
         """Close the open sessions whose last ts is below ``before``, and
         emit the closed keyed windows ``closed`` ((conv_id, window id) ->
@@ -740,19 +755,15 @@ class StreamEngine:
         due = np.fromiter((k in closed for k in zip(
             self.log["conv_id"].to_pylist(), wid.tolist())), bool, len(wid))
         if due.any():
-            out += [self._finish(row, closed)
-                    for row in self._emit(np.flatnonzero(due), wid[due])]
+            out.append(self._bounds(
+                self._emit(np.flatnonzero(due), wid[due]), closed))
             self.log = self.log.filter(~due)
         keys = [k for k in sorted(closed) if k in self.open]
         if keys:
-            out += self._summary_rows(keys, [0] * len(keys), closed)
+            out.append(self._bounds(
+                self._summaries(keys, [0] * len(keys)), closed))
 
-    def _sort(self, out: list[dict]) -> None:
-        """Emission order: (end, conv_id, start)."""
-        s, e = _BOUNDS.get(self.cfg.kind, ("window_start", "window_end"))
-        out.sort(key=lambda row: (row[e], row["conv_id"], row[s]))
-
-    def _drain(self, out: list[dict], hi: int) -> None:
+    def _drain(self, out: list[pa.Table], hi: int) -> None:
         """Emit the promoted tumbling/sliding windows whose end is at or
         below ``hi``."""
         keys, ends = [], []
@@ -762,13 +773,18 @@ class StreamEngine:
                 keys.append((conv, s))
                 ends.append(end)
         if keys:
-            out += self._summary_rows(keys, ends)
+            out.append(self._summaries(keys, ends))
 
     # -- end of stream ------------------------------------------------------
 
     def flush(self) -> list[dict]:
-        """Close every remaining window/session (input exhausted)."""
-        out: list[dict] = []
+        """``flush_table``'s windows as dicts (``_emitted_rows``)."""
+        return _emitted_rows(self.flush_table())
+
+    def flush_table(self) -> pa.Table:
+        """Close every remaining window/session (input exhausted);
+        returns them."""
+        out: list[pa.Table] = []
         top = np.iinfo(np.int64).max
         if self._keyed:
             n = self.cfg.count_turns      # partial count chunks
@@ -777,14 +793,13 @@ class StreamEngine:
             self.count_rows = {}
             self._drain_keyed(out, closed, top)
         elif self._updates:
-            out = self._fire(self.watermark, np.empty(0, np.int64),
-                             np.array([top]))
+            out.append(self._fire(self.watermark, np.empty(0, np.int64),
+                                  np.array([top])))
             self.log = self.log.slice(0, 0)
         else:
             self._drain_log(out, self.watermark, top)
             self._drain(out, top)
-        self._sort(out)
-        return out
+        return self._output(out)
 
     # -- checkpoint ---------------------------------------------------------
 
@@ -846,11 +861,9 @@ _TS_INT_COLS = frozenset({"window_start", "window_end", "last_ts",
 
 def emitted_to_frame(rows: list[dict], kind: str,
                      extra_cols: tuple = ()) -> pd.DataFrame:
-    """Columnar assembly of emitted rows (list-of-dicts -> DataFrame via
-    per-column lists: pandas' nested-dict inference profiled at 22% of
-    replay wall). Timestamp columns arrive as int64 epoch-us (the
-    engine's ``_emitted_rows`` gives them so, for log and promoted
-    windows alike) and convert in one vectorized view here."""
+    """``process_rows``/``flush`` dicts as a frame, columns in
+    ``process_table``'s order, built per column (pandas' nested-dict
+    inference is slow); int64 epoch-us timestamps view as datetime64."""
     if kind in _BOUNDS:
         base = ["conv_id", *_BOUNDS[kind], "n_turns"]
         cols = base + [c for c in STATS_COLUMNS
@@ -860,15 +873,7 @@ def emitted_to_frame(rows: list[dict], kind: str,
         cols = STATS_COLUMNS + list(extra_cols)
     if not rows:
         return pd.DataFrame({c: pd.Series(dtype="object") for c in cols})
-    data = {}
-    for c in cols:
-        vals = [r[c] for r in rows]
-        if c in _TS_INT_COLS and isinstance(vals[0], (int, np.integer)):
-            data[c] = np.asarray(vals, dtype=np.int64).view("M8[us]")
-        else:
-            data[c] = vals
-    df = pd.DataFrame(data)
-    for c in df.columns:
-        if str(df[c].dtype).startswith("datetime64"):
-            df[c] = df[c].astype("datetime64[us]")
-    return df
+    data = {c: [r[c] for r in rows] for c in cols}
+    for c in _TS_INT_COLS.intersection(cols):
+        data[c] = np.asarray(data[c], dtype=np.int64).view("M8[us]")
+    return pd.DataFrame(data)

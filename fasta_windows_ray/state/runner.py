@@ -1,22 +1,23 @@
 """Execution wrappers for the stateful StreamEngine.
 
 Two paths, same state machine, pytest-gated to agree with each other and
-with the stateless groupby path:
+with the stateless groupby path; both take the engine's emitted Arrow
+tables (``process_table``/``flush_table``) as they are:
 
 1. ``stateful_window_run`` — Dataset-native: the single conv_id
    hash-bucket shuffle, then each bucket's rows are replayed in event-log
    order through a StreamEngine inside ``map_groups``. Fully distributed;
-   this is the batch-over-log shape that scales to 100 TB (a bucket is
-   1/num_buckets of the input; skew-bounded because buckets hold many
-   conversations).
+   a bucket is 1/num_buckets of the input, skew-bounded because buckets
+   hold many conversations.
 
-2. ``StreamingJob`` — raw Ray actors (the one place the Dataset API
-   genuinely can't express the semantics: long-lived shared mutable
-   state + mid-stream checkpoints). P partition actors each own a
-   StreamEngine and an ExactlyOnceSink; the driver routes replayable
-   input splits; checkpoints commit (rows, snapshot, offset) atomically;
-   ``resume=True`` restores from the last committed checkpoint and skips
-   the consumed prefix — kill-and-resume equals fresh-run (pytest gate).
+2. ``StreamingJob`` — raw Ray actors (long-lived shared mutable state +
+   mid-stream checkpoints, which the Dataset API cannot express). P
+   partition actors each own a StreamEngine and an ExactlyOnceSink; the
+   driver routes replayable input splits; a checkpoint commits (the
+   interval's emitted tables as one Parquet part, snapshot, offset)
+   atomically; ``resume=True`` restores from the last committed
+   checkpoint and skips the consumed prefix — kill-and-resume equals
+   fresh-run (pytest gate).
 """
 
 from __future__ import annotations
@@ -25,20 +26,12 @@ import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 
 from ..sinks import ExactlyOnceSink, read_output
 from ..stages.window_stats import add_bucket, add_bucket_slab
-from .engine import StreamEngine, WindowConfig, emitted_to_frame
-
-
-def _extra_cols(cfg: WindowConfig) -> tuple:
-    """Output columns beyond the stats schema: custom aggregates, plus
-    the per-window ``revision`` counter in updates mode."""
-    extra = tuple(cfg.custom_aggs)
-    if cfg.emit == "updates":
-        extra += ("revision",)
-    return extra
+from .engine import StreamEngine, WindowConfig
 
 
 def partition_of(conv_ids, num_partitions: int) -> np.ndarray:
@@ -64,13 +57,13 @@ def latest_revision(df: pd.DataFrame,
 
 
 def _replay(df: pd.DataFrame, cfg: WindowConfig,
-            partition_id: int = 0) -> tuple[StreamEngine, list[dict]]:
+            partition_id: int = 0) -> tuple[StreamEngine, pa.Table]:
     """One engine fed ``df`` sorted by (ts, turn_uid | turn_idx), then
-    flushed: the engine and every row it emitted."""
+    flushed: the engine and every window it emitted."""
     order = ["ts"] + [c for c in ("turn_uid", "turn_idx") if c in df.columns]
     eng = StreamEngine(cfg, partition_id)
-    rows = eng.process_rows(df.sort_values(order, kind="stable"))
-    return eng, rows + eng.flush()
+    out = eng.process_table(df.sort_values(order, kind="stable"))
+    return eng, pa.concat_tables([out, eng.flush_table()])
 
 
 def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
@@ -97,17 +90,15 @@ def stateful_window_run(ds, cfg: WindowConfig, num_buckets: int = 64,
         ds = add_bucket(ds, num_buckets)
         group_key = "bucket"
 
-    def replay_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = emitted_to_frame(_replay(df, cfg)[1], cfg.kind,
-                               _extra_cols(cfg))
-        if slabbed and len(out):
+    def replay_bucket(df: pd.DataFrame) -> pa.Table:
+        out = _replay(df, cfg)[1]
+        if slabbed and out.num_rows:
             # sliding duplicates boundary rows into the previous slab;
             # the engine emits every covering window, so keep only the
             # windows whose start lives in this group's slab
             slab = np.int64(df["_slab"].iloc[0])
-            ws = out["window_start"].astype("datetime64[us]") \
-                .astype("int64").to_numpy()
-            out = out[(ws - cfg.offset_us) // slab_l == slab]
+            ws = out["window_start"].cast(pa.int64()).to_numpy()
+            out = out.filter((ws - cfg.offset_us) // slab_l == slab)
         return out
 
     return ds.groupby(group_key).map_groups(replay_bucket,
@@ -133,32 +124,29 @@ def stateful_metrics(ds, cfg: WindowConfig, num_buckets: int = 64):
 @ray.remote
 class PartitionActor:
     """Owns one partition's StreamEngine + sink. Raw actor by design —
-    documented Dataset-API escape hatch (SURVEY.md §4)."""
+    documented Dataset-API escape hatch (SURVEY.md §4). ``pending`` holds
+    the engine's emitted tables since the last checkpoint, which commits
+    their concatenation as the interval's Parquet part."""
 
     def __init__(self, out_dir: str, cfg: WindowConfig, pid: int,
                  resume: bool):
         self.sink = ExactlyOnceSink(out_dir, pid)
-        self.cfg = cfg
-        self.pid = pid
         self.seq, self.consumed, snap = (self.sink.resume_point()
                                          if resume else (0, 0, None))
         self.engine = (StreamEngine.restore(snap) if snap
                        else StreamEngine(cfg, pid))
-        self.pending: list[dict] = []
-        self.batch_no = 0
+        self.pending: list[pa.Table] = []
 
     def consumed_rows(self) -> int:
         return self.consumed
 
     def process(self, df: pd.DataFrame, n_input_rows: int) -> int:
-        self.pending.extend(self.engine.process_rows(df))
+        self.pending.append(self.engine.process_table(df))
         self.consumed += n_input_rows
-        self.batch_no += 1
-        return len(self.pending)
+        return sum(t.num_rows for t in self.pending)
 
     def checkpoint(self) -> int:
-        rows = emitted_to_frame(self.pending, self.cfg.kind,
-                                _extra_cols(self.cfg))
+        rows = pa.concat_tables([self.engine.empty, *self.pending])
         self.sink.commit_interval(self.seq, rows, self.engine.snapshot(),
                                   self.consumed,
                                   self.engine.metrics.as_dict())
@@ -167,7 +155,7 @@ class PartitionActor:
         return self.seq
 
     def finish(self) -> dict:
-        self.pending.extend(self.engine.flush())
+        self.pending.append(self.engine.flush_table())
         self.checkpoint()
         self.sink.mark_done()
         return self.engine.metrics.as_dict()
@@ -179,7 +167,6 @@ class StreamingJob:
     def __init__(self, out_dir: str, cfg: WindowConfig,
                  num_partitions: int = 4, resume: bool = False):
         self.out_dir = out_dir
-        self.cfg = cfg
         self.P = num_partitions
         self.actors = [PartitionActor.remote(out_dir, cfg, p, resume)
                        for p in range(self.P)]

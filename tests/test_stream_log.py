@@ -562,3 +562,78 @@ def test_partition_of_equals_per_row_crc32():
         want = [zlib.crc32(str(c).encode()) % p for c in ids]
         assert partition_of(ids, p).tolist() == want
         assert partition_of(pd.Series(ids), p).tolist() == want
+
+
+@pytest.mark.parametrize("cfg", [
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS),
+    WindowConfig(kind="sliding", size_us=6 * S, step_us=2 * S,
+                 lateness_us=LATENESS, ctw_text=True),
+    WindowConfig(kind="session", gap_us=2 * S, lateness_us=LATENESS,
+                 ctw_text=True),
+    WindowConfig(kind="count", count_turns=4, lateness_us=LATENESS),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 custom_aggs=AGGS),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 emit="updates", retention_us=6 * S),
+    WindowConfig(kind="sliding", size_us=6 * S, step_us=2 * S,
+                 lateness_us=LATENESS, ctw_text=True, emit="updates",
+                 retention_us=4 * S),
+    WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS,
+                 emit="updates", early_fire_every=2)],
+    ids=["tumbling", "sliding", "session", "count", "custom_aggs",
+         "updates_tumbling", "updates_sliding", "updates_early"])
+def test_table_output_is_the_committed_frame(cfg, arrival_hash, monkeypatch):
+    """``process_table``/``flush_table`` build no dict rows, give every
+    call the schema of ``StreamEngine.empty``, and equal, column by
+    column, the Arrow table a partition actor wrote from the same calls'
+    dict rows (``emitted_to_frame``, then ``Table.from_pandas``)."""
+    df, _, _ = _ooo_stream()
+    extra = cfg.custom_aggs + (("revision",) if cfg.emit == "updates"
+                               else ())
+    cuts = sorted(np.random.default_rng(9).choice(
+        np.arange(1, len(df)), 7, replace=False).tolist())
+    bounds = [0, *cuts, len(df)]
+
+    def no_dicts(t):
+        raise AssertionError("_emitted_rows called")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "_emitted_rows", no_dicts)
+        eng = StreamEngine(cfg)
+        got = [eng.process_table(df.iloc[a:b])
+               for a, b in zip(bounds, bounds[1:])] + [eng.flush_table()]
+    assert sum(t.num_rows for t in got) > 0
+    for t in got:
+        assert t.schema == eng.empty.schema
+        if not t.num_rows:
+            continue
+        want = pa.Table.from_pandas(emitted_to_frame(
+            _emitted_rows(t), cfg.kind, extra), preserve_index=False)
+        assert t.column_names == want.column_names
+        for c in want.column_names:
+            assert t[c].equals(want[c]), c
+
+
+@pytest.mark.parametrize("kind", ["tumbling", "session"])
+def test_empty_interval_parts_share_one_schema(ray_session, tmp_path, kind):
+    """A checkpoint interval that emits nothing commits the engine's typed
+    empty table: every part file has the schema of the others, and the
+    parts read as one dataset."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from fasta_windows_ray.state.runner import StreamingJob
+
+    df, _, _ = _ooo_stream()
+    cfg = (WindowConfig(kind="tumbling", size_us=4 * S, lateness_us=LATENESS)
+           if kind == "tumbling" else
+           WindowConfig(kind="session", gap_us=2 * S, lateness_us=LATENESS))
+    out_dir = str(tmp_path / kind)
+    StreamingJob(out_dir, cfg, num_partitions=2).run(
+        df, batch_rows=10, checkpoint_every=1)
+    parts = sorted(str(p) for p in tmp_path.glob(f"{kind}/part-*.parquet"))
+    n = [pq.read_metadata(p).num_rows for p in parts]
+    assert 0 in n and sum(n) > 0            # the first intervals are empty
+    schemas = [pq.read_schema(p) for p in parts]
+    assert all(s.equals(schemas[0]) for s in schemas)
+    assert pads.dataset(parts).to_table().num_rows == sum(n)
