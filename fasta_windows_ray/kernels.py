@@ -710,6 +710,9 @@ def _kt_tables(n: int):
 
 
 _CTW_BETA = 0.5   # the reference's fixed CTW mixture weight (kmeru8.rs)
+# widest (key, position) pair ``_ctw_chunk`` packs into one int64 and sorts
+# by value; wider pairs (over about 2^30 symbols in one chunk) take lexsort
+_CTW_PACK_BITS = 63
 
 
 def _log2_mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -740,35 +743,50 @@ def _ctw_chunk(sym, offsets, max_depth, kt):
     del pos, brk
     if max_depth >= 0:
         np.minimum(ctx_len, max_depth, out=ctx_len)
-    sym64 = sym.astype(np.int64)
     kt_num, kt_den = kt
-    # node[i] is the id of the depth-d node symbol i visits. A depth-d key
-    # is the parent's id times 4 plus the symbol d steps back; ids are the
-    # keys' dense ranks, so keys stay below 4x the symbol count at any depth
-    node = wid                # overwritten in place, depth by depth
+    # The events of a level (symbol positions ``p``) are ordered by node
+    # key, and in time order within a node, so a node's events are one run
+    # and its last visit is the run's last event. Level 0 is time order,
+    # which groups events by window already. A depth-d key is the parent's
+    # rank times 4 plus the symbol d steps back; ranks are dense, so keys
+    # stay below 4x the symbol count at any depth.
+    pb = max(len(sym) - 1, 1).bit_length()
     p = np.flatnonzero(mapped)
+    key = wid[p]
     levels = []
     d = 0
-    while len(p):
-        key = node[p] if d == 0 else node[p] * 4 + sym64[p - d]
-        # ``order`` holds event indices, which ascend with time, so a node's
-        # largest one is its last visit
-        order = np.argsort(key)
-        key = key[order]
+    while True:
         first = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
         starts = np.flatnonzero(first)
+        visits = np.diff(np.append(starts, len(key)))
         rank = np.cumsum(first) - 1
-        node[p[order]] = rank
-        counts = np.bincount(rank * 4 + sym64[p[order]],
+        counts = np.bincount(rank * 4 + sym[p],
                              minlength=4 * len(starts)).reshape(-1, 4)
         kt = (kt_num[counts[:, 0]] + kt_num[counts[:, 1]]
-              + kt_num[counts[:, 2]] + kt_num[counts[:, 3]]
-              - kt_den[counts.sum(axis=1)])
-        last = p[np.maximum.reduceat(order, starts)]
-        levels.append((key[starts], kt, ctx_len[last] == d))
+              + kt_num[counts[:, 2]] + kt_num[counts[:, 3]] - kt_den[visits])
+        # A leaf's log_w is its KT value whatever lies below it, so its
+        # events stop here. A node visited once is a leaf too: its KT value
+        # is -1 + 0 + 0 + 0 - 1 = -2.0, and so is every node below it, and
+        # _log2_mix(-2.0, -2.0) is exactly -2.0.
+        leaf = (ctx_len[p[starts + visits - 1]] == d) | (visits == 1)
+        levels.append((key[starts], kt, leaf))
+        go = ~leaf[rank]
+        go &= ctx_len[p] > d
+        p = p[go]
+        if not len(p):
+            break
         d += 1
-        p = p[ctx_len[p] >= d]
+        key = rank[go] * 4 + sym[p - d]
+        if (4 * len(starts)).bit_length() + pb > _CTW_PACK_BITS:
+            order = np.lexsort((p, key))
+            key, p = key[order], p[order]
+        else:
+            packed = np.left_shift(key, pb)
+            packed |= p
+            packed.sort()
+            key = packed >> pb
+            p = packed & ((1 << pb) - 1)
     log_w = levels[-1][1]     # deepest level: every node is a leaf
     for d in range(len(levels) - 2, -1, -1):
         _, kt, leaf = levels[d]
@@ -776,7 +794,9 @@ def _ctw_chunk(sym, offsets, max_depth, kt):
         # in ascending key, so in ascending symbol, as the scalar loop adds
         kids = np.bincount(levels[d + 1][0] >> 2, weights=log_w,
                            minlength=len(kt))
-        log_w = np.where(leaf, kt, _log2_mix(kt, kids))
+        log_w = kt.copy()
+        inner = ~leaf
+        log_w[inner] = _log2_mix(kt[inner], kids[inner])
     roots = levels[0][0]
     out[roots] = -log_w / n_eff[roots]
     return out
@@ -788,12 +808,13 @@ def ctw_batch(sym: np.ndarray, offsets, max_depth: int = 6) -> np.ndarray:
     ``sym`` holds symbols 0..3; any other value is skipped and flushes the
     context (map DNA bytes with ``DNA_CODES``). ``max_depth`` takes the
     scalar kernel's values: 0 is KT(0), a negative depth is unbounded.
-    Time grows with the number of symbols times the depth reached, never
-    with the 4^depth tree. Windows are processed in chunks of up to
+    Time grows with the number of symbols times the depth of the deepest
+    context seen at least twice (capped at ``max_depth``), never with the
+    4^depth tree. Windows are processed in chunks of up to
     ``_CHUNK_SYMS`` symbols, but a longer window is one chunk, and its
-    transient arrays take about 90 bytes per symbol: peak RSS rose by
-    87 MB for one 1 Mb window and 174 MB for a 2 Mb window, so expect
-    about 0.9 GB for a 10 Mb window (``-w 10000000``).
+    transient arrays take about 77 bytes per symbol: peak RSS rose by
+    77 MB for one 1 Mb window and 154 MB for a 2 Mb window (depth 6),
+    so expect about 0.8 GB for a 10 Mb window (``-w 10000000``).
 
     Closed form. The scalar kernel returns ``-total_delta / n_eff`` where
     ``total_delta`` sums the root's per-symbol change of ``log_w``; the sum
@@ -814,11 +835,19 @@ def ctw_batch(sym: np.ndarray, offsets, max_depth: int = 6) -> np.ndarray:
       the sum of its children's ``log_w``. Every visit of a child also
       visits its parent, so the children are final by then too.
 
-    The kernel emits one (window, depth, context) event per symbol and
-    depth, counts each visited node's symbols with ``bincount``, takes the
-    leaf flag of its last visit, and folds the tree bottom-up one depth at
-    a time. Values equal the scalar kernel's to ~1e-14 (summation order);
-    ``tests/test_ctw_batch.py`` holds them to 1e-12.
+    The kernel walks the tree top-down one depth at a time. A level's
+    events (one per symbol whose context reaches that depth) are kept
+    ordered by node, and in time order within a node, so a node's events
+    are one run: its symbols are counted with ``bincount`` and its last
+    visit is the run's last event. The next level comes from one
+    ``np.sort`` of (child key, position) pairs packed into int64, or a
+    ``np.lexsort`` when a pair needs more than 63 bits (level 0, the
+    windows, needs no sort: time order groups it already). A leaf's
+    subtree is never read, so its events leave the loop; a node visited
+    once is a leaf too, since its ``log_w`` is exactly -2.0 whatever lies
+    below it. Then the tree is folded bottom-up one depth at a time.
+    Values equal the scalar kernel's to ~1e-14 (summation order);
+    ``tests/test_ctw_batch.py`` holds them to 1e-12 and pins their bits.
     """
     # one pair of KT tables for the call, sized for its longest window; a
     # shorter table is a prefix of a longer one (sequential cumsums)

@@ -185,19 +185,24 @@ def write_outputs(entries: pd.DataFrame, out_dir: str, output: str,
                 f"{_f32_3(e.cpg_s)}\t{e.dinucleotides:.3f}\t"
                 f"{e.trinucleotides:.3f}\t{e.tetranucleotides:.3f}\n")
 
-    vocabs = {1: "A\tC\tG\tT\tN",
-              2: "\t".join(K.gen_all_kgrams("ACGT", 2)),
-              3: "\t".join(K.gen_all_kgrams("ACGT", 3)),
-              4: "\t".join(K.gen_all_kgrams("ACGT", 4))}
-    val_cols = {1: "nuc_counts", 2: "divalues", 3: "trivalues",
-                4: "tetravalues"}
-    for k, path in zip((1, 2, 3, 4), paths[1:]):
+    # the count files: each row's id/desc/start/end prefix is built once,
+    # then every row's counts go through one "%d\t...%d\n" template. A frame
+    # without windows has no count columns, so it writes headers only.
+    cols = ["id", "desc", "start", "end"] if description \
+        else ["id", "start", "end"]
+    prefix = ["\t".join(map(str, r)) + "\t"
+              for r in zip(*(entries[c].tolist() for c in cols))]
+    vocabs = {"nuc_counts": list("ACGTN"),
+              "divalues": K.gen_all_kgrams("ACGT", 2),
+              "trivalues": K.gen_all_kgrams("ACGT", 3),
+              "tetravalues": K.gen_all_kgrams("ACGT", 4)}
+    for (col, vocab), path in zip(vocabs.items(), paths[1:]):
+        fmt = "\t".join(["%d"] * len(vocab)) + "\n"
+        rows = entries[col] if len(entries) else ()
         with open(path, "w") as f:
-            f.write(f"{kmer_header}{vocabs[k]}\n")
-            for e in entries.itertuples():
-                desc = f"{e.desc}\t" if description else ""
-                vals = "\t".join(str(v) for v in getattr(e, val_cols[k]))
-                f.write(f"{e.id}\t{desc}{e.start}\t{e.end}\t{vals}\n")
+            f.write(kmer_header + "\t".join(vocab) + "\n"
+                    + "".join([pre + fmt % tuple(r)
+                               for pre, r in zip(prefix, rows)]))
     return paths
 
 

@@ -6,6 +6,7 @@ sequential ``ctw_bits_per_base``; ``seq_stats_batch``,
 ``seq_stats_dna``, ``kgram_diversity_dna`` and ``entropy_fast``. No Ray.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -86,15 +87,94 @@ def test_ctw_batch_chunking(monkeypatch):
     assert np.array_equal(_batch(wins, 6), whole)
 
 
+# windows whose contexts repeat up to the window length, where a context
+# seen once (the kernel's leaf cut) sits deep under repeated ones
+PERIODIC = [[0, 1] * 150, [0, 0, 1] * 100, [0, 1, 2, 3] * 40,
+            [0, 1] * 40 + [FLUSH] + [0, 1] * 40,
+            [0, 0, 1] * 20 + [FLUSH] + [0, 1, 0, 0, 1] * 12 + [2]]
+
+
 @pytest.mark.parametrize("depth", [21, 26, 40, -1])
 def test_ctw_batch_deep_and_unbounded_depths(depth):
     """Any depth the scalar kernel takes: deeper than the 4^depth keys
-    could pack into int64, and negative (no cap on the context)."""
+    could pack into int64, and negative (no cap on the context).
+    Periodic windows, with a flush inside a repeat, included."""
     rng = np.random.default_rng(abs(depth))
     wins = [rng.choice([0, 1, 2, 3, FLUSH], int(n), p=[.3, .3, .2, .19, .01])
-            for n in (0, 1, 25, 60, 300)] + [[1] * 80]
+            for n in (0, 1, 25, 60, 300)] + [[1] * 80] + PERIODIC
     for w, g in zip(wins, _batch(wins, depth)):
         assert abs(g - _oracle(w, depth)) <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [0, 3, 6, -1])
+def test_ctw_batch_wide_keys_take_lexsort(monkeypatch, depth):
+    """With the packed-width limit at 0 every level after the first takes
+    the ``np.lexsort`` branch; it must give the packed sort's bits."""
+    rng = np.random.default_rng(7)
+    wins = [rng.choice([0, 1, 2, 3, FLUSH], int(n), p=[.3, .3, .2, .19, .01])
+            for n in (0, 1, 25, 60, 300, 1000)] + PERIODIC
+    packed = _batch(wins, depth)
+    monkeypatch.setattr(K, "_CTW_PACK_BITS", 0)
+    assert np.array_equal(_batch(wins, depth).view(np.uint64),
+                          packed.view(np.uint64))
+
+
+def _pinned_inputs():
+    """Seeded inputs of the three shapes ``ctw_batch`` runs on: 1 kb DNA
+    windows with N runs (the FASTA job), short role-like windows with
+    flushes (the window-stats role column), and periodic windows."""
+    rng = np.random.default_rng(20261020)
+    dna = K.DNA_CODES[rng.choice(np.frombuffer(b"ACGTacgtN", np.uint8),
+                                 20_500, p=[.2] * 4 + [.04] * 4 + [.04])]
+    for s in rng.integers(0, 20_000, 12):
+        dna[s:s + rng.integers(1, 300)] = FLUSH
+    lens = rng.integers(1, 60, 600)
+    roles = rng.choice([0, 1, 2, 3, FLUSH], int(lens.sum()),
+                       p=[.45, .4, .05, .05, .05])
+    periodic = [np.asarray(w, dtype=np.uint8) for w in PERIODIC]
+    periodic += [np.tile(rng.integers(0, 4, n), 600 // n)
+                 .astype(np.uint8) for n in (1, 2, 5, 7)]
+    return {
+        "dna": (dna, np.append(np.arange(0, 20_500, 1000), 20_500)),
+        "roles": (roles, np.cumsum(np.append(0, lens))),
+        "periodic": (np.concatenate(periodic),
+                     np.cumsum([0] + [len(w) for w in periodic])),
+    }
+
+
+# md5 of ``ctw_batch(...).view(np.uint64)`` for each input and depth, as
+# the per-level argsort kernel computed them. These pin every bit (x86-64
+# Linux, this project's numpy), where the oracle tests allow 1e-12.
+PINNED = {
+    ("dna", 0): "5e1064af4ef5488558b3bad00108d6ff",
+    ("dna", 1): "e7e41c8630117d1904b88a210002f362",
+    ("dna", 3): "06229a39308b4e3da2405a133720a976",
+    ("dna", 6): "9b7bd0662a91098195f8f71d0db207a6",
+    ("dna", 21): "c7fa679655e5070f3a04a843459407e3",
+    ("dna", -1): "c7fa679655e5070f3a04a843459407e3",
+    ("roles", 0): "2b3c5f329aea4ab0d1f18b110d00ea7c",
+    ("roles", 1): "e4d36a6d2a55756659578749e788afeb",
+    ("roles", 3): "8a01dbbeba8deec18dcc834f535856d6",
+    ("roles", 6): "f8486bf02be262e64fdb692d808c27a9",
+    ("roles", 21): "408fa36e4c270dc00f855a087ab40e20",
+    ("roles", -1): "408fa36e4c270dc00f855a087ab40e20",
+    ("periodic", 0): "9aeab0c2dac68b4bb8210df056570ae2",
+    ("periodic", 1): "3435cbd1f01bfc81fd55fec28c7cce36",
+    ("periodic", 3): "f6fedfdbd766b88c32548c7fcf7dc11e",
+    ("periodic", 6): "db15fe37d1dd2bc5c446b3d00ab75257",
+    ("periodic", 21): "e31f6653d10d783d801504973940a8cd",
+    ("periodic", -1): "a531e0a9f3416fcb5656b50e3d5f33ea",
+}
+
+
+@pytest.mark.parametrize("case", ["dna", "roles", "periodic"])
+@pytest.mark.parametrize("depth", [0, 1, 3, 6, 21, -1])
+def test_ctw_batch_pinned_bits(case, depth):
+    sym, offsets = _pinned_inputs()[case]
+    got = K.ctw_batch(sym, offsets, depth)
+    assert len(got) == len(offsets) - 1
+    assert hashlib.md5(got.view(np.uint64).tobytes()).hexdigest() \
+        == PINNED[case, depth]
 
 
 def test_ctw_batch_dna_codes_match_str_kernel():

@@ -2,7 +2,9 @@
 headers, same values (reference format contracts cited in
 pipelines/fasta_compat.py)."""
 
+import hashlib
 import math
+import os
 
 import pytest
 
@@ -194,3 +196,87 @@ def test_gzip_fasta_reader(ray_session, tmp_path):
     assert len(got) == len(whole)
     assert (got["id"] == [r[0] for r in whole]).all()
     assert (got["seq"] == [r[2] for r in whole]).all()
+
+
+# md5 of the five files ``write_outputs`` writes for the fixture's FASTA at
+# 10 bp windows and for a FASTA without windows, keyed (empty, description,
+# ctw), as the row-by-row writer wrote them
+WRITE_GOLDEN = {
+    (False, False, False): [
+        ("fw_freq_windows.tsv", "cb5136ebdf8d2aeaa9b00630868c3c85"),
+        ("fw_mononuc_windows.tsv", "7b7521728bb3e0b7cee671e923ae069d"),
+        ("fw_dinuc_windows.tsv", "fdf06763cbb5a5b108cb0f123bd6f092"),
+        ("fw_trinuc_windows.tsv", "af6d4f30352513fffd32db3c0e7862c6"),
+        ("fw_tetranuc_windows.tsv", "b96784055a99055eca9d8aa2ba0f45be"),
+    ],
+    (False, False, True): [
+        ("fw_freq_windows.tsv", "79267c677f9aa0488e9d2691e89724f3"),
+        ("fw_mononuc_windows.tsv", "7b7521728bb3e0b7cee671e923ae069d"),
+        ("fw_dinuc_windows.tsv", "fdf06763cbb5a5b108cb0f123bd6f092"),
+        ("fw_trinuc_windows.tsv", "af6d4f30352513fffd32db3c0e7862c6"),
+        ("fw_tetranuc_windows.tsv", "b96784055a99055eca9d8aa2ba0f45be"),
+    ],
+    (False, True, False): [
+        ("fw_freq_windows.tsv", "8d6a60378867cdd3e82334581bc2283c"),
+        ("fw_mononuc_windows.tsv", "1c28c6892f3ff15ba324621b5ef488cf"),
+        ("fw_dinuc_windows.tsv", "313468b5ab0781210ff7c49ca45eaabe"),
+        ("fw_trinuc_windows.tsv", "4de92fe5605b562d3e5e06ea19be39a1"),
+        ("fw_tetranuc_windows.tsv", "9eab45d7f53dcac51807368665d301e6"),
+    ],
+    (False, True, True): [
+        ("fw_freq_windows.tsv", "3e4e7487135b536411dcd6e930a34d60"),
+        ("fw_mononuc_windows.tsv", "1c28c6892f3ff15ba324621b5ef488cf"),
+        ("fw_dinuc_windows.tsv", "313468b5ab0781210ff7c49ca45eaabe"),
+        ("fw_trinuc_windows.tsv", "4de92fe5605b562d3e5e06ea19be39a1"),
+        ("fw_tetranuc_windows.tsv", "9eab45d7f53dcac51807368665d301e6"),
+    ],
+    (True, False, False): [
+        ("fw_freq_windows.tsv", "9db9f8769287dc6ebb81873a5c9304b2"),
+        ("fw_mononuc_windows.tsv", "2f7add54c4b08a3ae92cc0cfb4f3d937"),
+        ("fw_dinuc_windows.tsv", "9e3de453393fe4d1219c507b8716609e"),
+        ("fw_trinuc_windows.tsv", "6f5aa2b9963fe531d936138e35205512"),
+        ("fw_tetranuc_windows.tsv", "121d068af11dc852add2d1814240f139"),
+    ],
+    (True, False, True): [
+        ("fw_freq_windows.tsv", "48148c87d24b36e8e0a43201ba64bb58"),
+        ("fw_mononuc_windows.tsv", "2f7add54c4b08a3ae92cc0cfb4f3d937"),
+        ("fw_dinuc_windows.tsv", "9e3de453393fe4d1219c507b8716609e"),
+        ("fw_trinuc_windows.tsv", "6f5aa2b9963fe531d936138e35205512"),
+        ("fw_tetranuc_windows.tsv", "121d068af11dc852add2d1814240f139"),
+    ],
+    (True, True, False): [
+        ("fw_freq_windows.tsv", "02aaf0567a3cc8e17167c9db5af41f47"),
+        ("fw_mononuc_windows.tsv", "fc7398dba50b19cf8f351b6be33e5f6f"),
+        ("fw_dinuc_windows.tsv", "dec602b915c0e34d7603172c2503a3e9"),
+        ("fw_trinuc_windows.tsv", "5d58244426841c32b06b38c18d37b8d3"),
+        ("fw_tetranuc_windows.tsv", "8354a7c0ac18bd42945a45d381b6d278"),
+    ],
+    (True, True, True): [
+        ("fw_freq_windows.tsv", "02275248556b73943f830e8efe394f2e"),
+        ("fw_mononuc_windows.tsv", "fc7398dba50b19cf8f351b6be33e5f6f"),
+        ("fw_dinuc_windows.tsv", "dec602b915c0e34d7603172c2503a3e9"),
+        ("fw_trinuc_windows.tsv", "5d58244426841c32b06b38c18d37b8d3"),
+        ("fw_tetranuc_windows.tsv", "8354a7c0ac18bd42945a45d381b6d278"),
+    ],
+}
+
+
+@pytest.mark.parametrize("description", [False, True])
+@pytest.mark.parametrize("ctw", [False, True])
+@pytest.mark.parametrize("empty", [False, True])
+def test_write_outputs_golden_bytes(ray_session, fasta_path, tmp_path,
+                                    description, ctw, empty):
+    from fasta_windows_ray.pipelines.fasta_compat import (fasta_windows,
+                                                          write_outputs)
+
+    if empty:       # a record without bases: a frame without count columns
+        fasta_path = tmp_path / "empty.fa"
+        fasta_path.write_text(">x\n\n")
+    pdf = fasta_windows(str(fasta_path), window_size=10, ctw=ctw)
+    paths = write_outputs(pdf, str(tmp_path), "fw", description=description,
+                          ctw=ctw)
+    got = []
+    for p in paths:
+        with open(p, "rb") as f:
+            got.append((os.path.basename(p), hashlib.md5(f.read()).hexdigest()))
+    assert got == WRITE_GOLDEN[empty, description, ctw]
